@@ -141,16 +141,20 @@ DaemonClient::readLine()
     char c;
     for (;;) {
         const ssize_t got = ::read(fd_, &c, 1);
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
+        if (got < 0 && errno == EINTR)
+            continue;
+        // A daemon killed while this client waits (a parked `wait`
+        // can block for the whole job) shows up as EOF or a reset:
+        // "service unavailable", the same exit as a daemon that was
+        // never up, so scripts restart it and re-wait.
+        if (got < 0 && errno != ECONNRESET)
             sbn_fatal("daemon connection read failed: ",
                       std::strerror(errno));
-        }
-        if (got == 0)
-            sbn_fatal("daemon closed the connection mid-response "
-                      "(it may have been killed; restart it and "
-                      "retry - acknowledged jobs are journaled)");
+        if (got <= 0)
+            dieUnavailable("daemon closed the connection before "
+                           "replying (it may have been killed); "
+                           "restart the daemon and re-wait - "
+                           "acknowledged jobs are journaled");
         if (c == '\n')
             return line;
         line += c;

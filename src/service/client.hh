@@ -35,8 +35,10 @@ struct ClientResponse
  * Blocking line-protocol connection to a daemon at 127.0.0.1.
  * @p endpoint is "PORT", "host:PORT", or a path to a daemon state
  * dir (the port is then read from its port file). Connection
- * failures are fatal with kExitUnavailable - the conventional
- * "service not up" exit for scripts to branch on.
+ * failures - and a daemon that hangs up before its reply line, as
+ * one killed under a parked `wait` does - are fatal with
+ * kExitUnavailable, the conventional "service not up" exit for
+ * scripts to branch on.
  */
 class DaemonClient
 {

@@ -25,6 +25,7 @@
 #include <deque>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,12 +47,41 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Upper bound on the drained exit's final outbox flush: a waiter
+ *  answered by the last terminal transition gets its bytes, a peer
+ *  that stopped reading cannot hold the exit up for longer. */
+constexpr double kDrainFlushSeconds = 5.0;
+
 volatile std::sig_atomic_t g_terminateSignal = 0;
 
 void
 onTerminateSignal(int sig)
 {
     g_terminateSignal = sig;
+}
+
+/** Write end of the SIGCHLD self-pipe; -1 until run() creates it. */
+int g_childPipeWrite = -1;
+
+/** SIGCHLD handler: one byte into the self-pipe wakes poll(), so an
+ *  exited runner is reaped (and its waiters answered) at once rather
+ *  than at the next poll timeout. */
+void
+onChildSignal(int)
+{
+    const int savedErrno = errno;
+    const char byte = 0;
+    (void)!::write(g_childPipeWrite, &byte, 1);
+    errno = savedErrno;
+}
+
+/** Wall-clock seconds since the epoch, sub-second resolution. */
+double
+unixNow()
+{
+    return std::chrono::duration<double>(
+               std::chrono::system_clock::now().time_since_epoch())
+        .count();
 }
 
 /** write() the whole buffer, riding out EINTR; false on error. */
@@ -141,7 +171,20 @@ struct Client
     std::string inbox;     //!< bytes received, not yet a full line
     std::string outbox;    //!< reply bytes not yet accepted by send()
     std::size_t outboxSent = 0; //!< prefix of outbox already sent
+    /** The job a parked `wait` is on: no further inbox lines are
+     *  served until that job's terminal transition answers it. */
+    std::optional<std::uint64_t> waitingOn;
 };
+
+/** One job's status line; `wait` answers with these same bytes. */
+std::string
+jobStatusLine(const JobJournalEntry &entry)
+{
+    return "{\"ok\":true,\"job\":" + std::to_string(entry.job) +
+           ",\"state\":\"" + jobStateName(entry.state) +
+           "\",\"exit\":" + std::to_string(entry.exitCode) +
+           ",\"reason\":\"" + jsonEscape(entry.reason) + "\"}";
+}
 
 class Daemon
 {
@@ -164,11 +207,14 @@ class Daemon
     void openListenSocket();
     void acceptClients();
     void serviceClient(Client &client);
+    void serveInbox(Client &client);
     void handleRequest(Client &client, const std::string &line);
     void respond(Client &client, const std::string &line);
     void queueOutput(Client &client, const std::string &bytes);
     void flushClient(Client &client);
+    void flushClientsBounded();
     void dropClient(Client &client);
+    void respondUnknownJob(Client &client, std::uint64_t id);
 
     // --- request handlers --------------------------------------------
     void handleSubmit(Client &client, const Request &request);
@@ -177,6 +223,7 @@ class Daemon
     void handleResults(Client &client, const Request &request);
     void handleDrain(Client &client);
     void handleMetrics(Client &client, const Request &request);
+    void handleWait(Client &client, const Request &request);
 
     // --- runners -----------------------------------------------------
     void startPendingJobs();
@@ -201,6 +248,7 @@ class Daemon
     std::deque<std::uint64_t> pending_; //!< job ids awaiting a runner
     std::uint64_t nextJobId_ = 0;
     int listenFd_ = -1;
+    int childPipe_[2] = {-1, -1}; //!< SIGCHLD self-pipe (read, write)
     std::vector<Client> clients_;
     bool draining_ = false;
     Clock::time_point lastHeartbeat_{};
@@ -228,7 +276,7 @@ Daemon::appendState(Job &job, JobState state, int exit_code,
     journal_.append(entry); // durable (+ crash_after_journal window)
     job.entry = entry;
     if (jobStateTerminal(state)) {
-        job.finishedUnix = static_cast<double>(std::time(nullptr));
+        job.finishedUnix = unixNow();
         if (job.jobSpanId != 0) {
             traceEmitSpanWithId(
                 {job.traceId, job.jobSpanId}, job.jobSpanId, "job",
@@ -238,6 +286,15 @@ Daemon::appendState(Job &job, JobState state, int exit_code,
                  {"exit", std::to_string(exit_code)},
                  {"launches", std::to_string(job.launches)}});
             job.jobSpanId = 0;
+        }
+        // The one answer point for parked waiters: every terminal
+        // transition (done, failed, timeout, cancel) passes here, and
+        // only after the journal fsync above.
+        for (Client &client : clients_) {
+            if (client.fd >= 0 && client.waitingOn == entry.job) {
+                client.waitingOn.reset();
+                respond(client, jobStatusLine(entry));
+            }
         }
     }
 }
@@ -318,6 +375,16 @@ Daemon::run()
     ::sigaction(SIGINT, &action, nullptr);
     ::sigaction(SIGTERM, &action, nullptr);
 
+    if (::pipe(childPipe_) != 0)
+        sbn_fatal("cannot create SIGCHLD pipe: ", std::strerror(errno));
+    for (const int fd : childPipe_)
+        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+    g_childPipeWrite = childPipe_[1];
+    struct sigaction childAction{};
+    childAction.sa_handler = onChildSignal;
+    childAction.sa_flags = SA_RESTART | SA_NOCLDSTOP;
+    ::sigaction(SIGCHLD, &childAction, nullptr);
+
     recover();
     openListenSocket();
     writeHeartbeat();
@@ -339,6 +406,10 @@ Daemon::run()
         reapRunners();
         enforceDeadlines();
         startPendingJobs();
+        // Serve requests pipelined behind a wait that a terminal
+        // transition has since answered.
+        for (Client &client : clients_)
+            serveInbox(client);
 
         const auto now = Clock::now();
         if (!heartbeatEver_ ||
@@ -349,19 +420,22 @@ Daemon::run()
             writeHeartbeat();
 
         if (draining_ && pending_.empty() && runningCount() == 0) {
+            flushClientsBounded();
             std::fprintf(stderr,
                          "sbn_sweepd: drained, all jobs journaled "
                          "terminal\n");
             return kExitOk;
         }
 
-        // fds layout: [0] listen, [1 .. polledClients] the clients_
-        // snapshot taken HERE, then one slot per runner status pipe.
-        // acceptClients() below appends to clients_, so every index
-        // into fds must use this snapshot count, never a live
-        // clients_.size().
+        // fds layout: [0] listen, [1] SIGCHLD pipe, [2 .. 1 +
+        // polledClients] the clients_ snapshot taken HERE, then one
+        // slot per runner status pipe. acceptClients() below appends
+        // to clients_, so every index into fds must use this snapshot
+        // count, never a live clients_.size(). A parked client stays
+        // polled for POLLIN so a waiter that hangs up is dropped.
         std::vector<pollfd> fds;
         fds.push_back({listenFd_, POLLIN, 0});
+        fds.push_back({childPipe_[0], POLLIN, 0});
         const std::size_t polledClients = clients_.size();
         for (const Client &client : clients_) {
             short events = POLLIN;
@@ -389,17 +463,23 @@ Daemon::run()
 
         if ((fds[0].revents & POLLIN) != 0)
             acceptClients();
+        if ((fds[1].revents & POLLIN) != 0) {
+            // Drain only; the loop top reaps right after this pass.
+            char sink[64];
+            while (::read(childPipe_[0], sink, sizeof sink) > 0) {
+            }
+        }
         for (std::size_t i = 0; i < polledClients; ++i) {
             Client &client = clients_[i];
-            if ((fds[1 + i].revents & POLLOUT) != 0)
+            if ((fds[2 + i].revents & POLLOUT) != 0)
                 flushClient(client);
             if (client.fd >= 0 &&
-                (fds[1 + i].revents &
+                (fds[2 + i].revents &
                  (POLLIN | POLLHUP | POLLERR)) != 0)
                 serviceClient(client);
         }
         for (std::size_t i = 0; i < pipeJobs.size(); ++i)
-            if ((fds[1 + polledClients + i].revents &
+            if ((fds[2 + polledClients + i].revents &
                  (POLLIN | POLLHUP | POLLERR)) != 0)
                 if (Job *job = findJob(pipeJobs[i]))
                     readStatusPipe(*job);
@@ -456,8 +536,14 @@ Daemon::serviceClient(Client &client)
         dropClient(client);
         return;
     }
+    serveInbox(client);
+}
+
+void
+Daemon::serveInbox(Client &client)
+{
     std::size_t newline;
-    while (client.fd >= 0 &&
+    while (client.fd >= 0 && !client.waitingOn &&
            (newline = client.inbox.find('\n')) != std::string::npos) {
         std::string line = client.inbox.substr(0, newline);
         client.inbox.erase(0, newline + 1);
@@ -496,6 +582,9 @@ Daemon::handleRequest(Client &client, const std::string &line)
         break;
     case RequestKind::Metrics:
         handleMetrics(client, request);
+        break;
+    case RequestKind::Wait:
+        handleWait(client, request);
         break;
     }
 }
@@ -549,6 +638,38 @@ Daemon::flushClient(Client &client)
 }
 
 void
+Daemon::flushClientsBounded()
+{
+    const auto deadline =
+        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(
+                               kDrainFlushSeconds));
+    for (;;) {
+        std::vector<pollfd> fds;
+        std::vector<std::size_t> owners;
+        for (std::size_t i = 0; i < clients_.size(); ++i) {
+            const Client &client = clients_[i];
+            if (client.fd >= 0 &&
+                client.outboxSent < client.outbox.size()) {
+                fds.push_back({client.fd, POLLOUT, 0});
+                owners.push_back(i);
+            }
+        }
+        const auto left = std::chrono::duration_cast<
+            std::chrono::milliseconds>(deadline - Clock::now());
+        if (fds.empty() || left.count() <= 0)
+            return;
+        if (::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+                   static_cast<int>(left.count())) < 0 &&
+            errno != EINTR)
+            return;
+        for (std::size_t k = 0; k < fds.size(); ++k)
+            if (fds[k].revents != 0)
+                flushClient(clients_[owners[k]]); // drops on error
+    }
+}
+
+void
 Daemon::dropClient(Client &client)
 {
     if (client.fd >= 0)
@@ -556,6 +677,13 @@ Daemon::dropClient(Client &client)
     client.fd = -1; // reaped by the main loop's erase pass
     client.outbox.clear();
     client.outboxSent = 0;
+}
+
+void
+Daemon::respondUnknownJob(Client &client, std::uint64_t id)
+{
+    respond(client,
+            errorResponse("unknown_job", "no job " + std::to_string(id)));
 }
 
 void
@@ -641,17 +769,27 @@ Daemon::handleStatus(Client &client, const Request &request)
     }
     const Job *job = findJob(request.job);
     if (job == nullptr) {
-        respond(client, errorResponse("unknown_job",
-                                      "no job " +
-                                          std::to_string(request.job)));
+        respondUnknownJob(client, request.job);
         return;
     }
-    respond(client,
-            "{\"ok\":true,\"job\":" + std::to_string(request.job) +
-                ",\"state\":\"" + jobStateName(job->entry.state) +
-                "\",\"exit\":" + std::to_string(job->entry.exitCode) +
-                ",\"reason\":\"" + jsonEscape(job->entry.reason) +
-                "\"}");
+    respond(client, jobStatusLine(job->entry));
+}
+
+void
+Daemon::handleWait(Client &client, const Request &request)
+{
+    const Job *job = findJob(request.job);
+    if (job == nullptr) {
+        respondUnknownJob(client, request.job);
+        return;
+    }
+    if (jobStateTerminal(job->entry.state)) {
+        respond(client, jobStatusLine(job->entry));
+        return;
+    }
+    // Park: appendState answers at the terminal transition. Draining
+    // does not matter here - the job still runs to a terminal state.
+    client.waitingOn = request.job;
 }
 
 void
@@ -659,9 +797,7 @@ Daemon::handleCancel(Client &client, const Request &request)
 {
     Job *job = findJob(request.job);
     if (job == nullptr) {
-        respond(client, errorResponse("unknown_job",
-                                      "no job " +
-                                          std::to_string(request.job)));
+        respondUnknownJob(client, request.job);
         return;
     }
     if (jobStateTerminal(job->entry.state)) {
@@ -699,9 +835,7 @@ Daemon::handleResults(Client &client, const Request &request)
 {
     const Job *job = findJob(request.job);
     if (job == nullptr) {
-        respond(client, errorResponse("unknown_job",
-                                      "no job " +
-                                          std::to_string(request.job)));
+        respondUnknownJob(client, request.job);
         return;
     }
     if (job->entry.state != JobState::Done) {
@@ -759,9 +893,7 @@ Daemon::handleMetrics(Client &client, const Request &request)
     }
     const Job *job = findJob(request.job);
     if (job == nullptr) {
-        respond(client, errorResponse("unknown_job",
-                                      "no job " +
-                                          std::to_string(request.job)));
+        respondUnknownJob(client, request.job);
         return;
     }
     // Wall clock: submit-to-now while live, submit-to-terminal once
@@ -773,8 +905,7 @@ Daemon::handleMetrics(Client &client, const Request &request)
         if (job->finishedUnix > 0)
             wall = job->finishedUnix - job->entry.startedUnix;
         else if (!jobStateTerminal(job->entry.state))
-            wall = static_cast<double>(std::time(nullptr)) -
-                   job->entry.startedUnix;
+            wall = unixNow() - job->entry.startedUnix;
         wall = std::max(0.0, wall);
     }
     char wallText[32];
@@ -861,8 +992,7 @@ Daemon::launchRunner(Job &job)
     // start the timeout deadline is measured from. Recovered jobs
     // carry theirs in from the journal.
     if (job.entry.startedUnix <= 0)
-        job.entry.startedUnix =
-            static_cast<double>(std::time(nullptr));
+        job.entry.startedUnix = unixNow();
 
     // Journal the transition BEFORE the fork: a crash between the
     // two recovers to "running" and relaunches with resume, which is
@@ -899,6 +1029,12 @@ Daemon::launchRunner(Job &job)
     if (pid < 0)
         sbn_fatal("cannot fork job runner: ", std::strerror(errno));
     if (pid == 0) {
+        // The runner's supervisor reaps its own workers: restore the
+        // default SIGCHLD before closing the self-pipe the handler
+        // writes to.
+        ::signal(SIGCHLD, SIG_DFL);
+        ::close(childPipe_[0]);
+        ::close(childPipe_[1]);
 #ifdef __linux__
         // Daemon death must take the runner's fleet down with it:
         // TERM here makes the runner's supervisor kill and reap its
@@ -942,9 +1078,8 @@ Daemon::launchRunner(Job &job)
         // instead of getting a fresh full timeout per incarnation.
         // (Within one incarnation, relaunches keep the armed
         // deadline and never re-enter this branch.)
-        const double elapsed = std::max(
-            0.0, static_cast<double>(std::time(nullptr)) -
-                     job.entry.startedUnix);
+        const double elapsed =
+            std::max(0.0, unixNow() - job.entry.startedUnix);
         job.hasDeadline = true;
         job.deadline = Clock::now() +
                        std::chrono::duration_cast<Clock::duration>(

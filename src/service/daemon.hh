@@ -18,6 +18,9 @@
  *   reap     journal done/failed with the runner's disposition
  *   cancel   journal cancelled  -> then SIGTERM (SIGKILL after a
  *            grace period) the runner
+ *   wait     a client waiting on a live job is parked; its reply (the
+ *            job's status line) is written right after the job's
+ *            terminal entry is journaled
  *
  * On startup the daemon replays the journal: submitted jobs re-queue,
  * running/merging jobs relaunch with resume (their shard record

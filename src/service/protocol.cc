@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 
 namespace sbn {
 
@@ -163,6 +164,24 @@ takeJob(const JsonObject &object, Request &request, std::string &error)
     return true;
 }
 
+/** Reject every key but "cmd" and @p allowed: a key the command does
+ *  not take is a client bug, not something to ignore. */
+bool
+onlyKeys(const JsonObject &object,
+         std::initializer_list<const char *> allowed, std::string &error)
+{
+    for (const auto &pair : object) {
+        bool known = pair.first == "cmd";
+        for (const char *key : allowed)
+            known = known || pair.first == key;
+        if (!known) {
+            error = "unexpected key \"" + pair.first + "\"";
+            return false;
+        }
+    }
+    return true;
+}
+
 std::string
 formatNumber(double value)
 {
@@ -277,6 +296,8 @@ requestKindName(RequestKind kind)
         return "drain";
     case RequestKind::Metrics:
         return "metrics";
+    case RequestKind::Wait:
+        return "wait";
     }
     return "unknown";
 }
@@ -297,6 +318,8 @@ parseRequest(const std::string &line, Request &out, std::string &error)
     Request request;
     if (cmd->text == "submit") {
         request.kind = RequestKind::Submit;
+        if (!onlyKeys(object, {"spec", "timeout_s"}, error))
+            return false;
         const JsonScalar *spec = findKey(object, "spec");
         if (spec == nullptr ||
             spec->kind != JsonScalar::Kind::String ||
@@ -320,12 +343,16 @@ parseRequest(const std::string &line, Request &out, std::string &error)
         // or metrics snapshot, with "job" = one job's view.
         request.kind = cmd->text == "status" ? RequestKind::Status
                                              : RequestKind::Metrics;
-        if (!takeJob(object, request, error))
+        if (!onlyKeys(object, {"job"}, error) ||
+            !takeJob(object, request, error))
             return false;
-    } else if (cmd->text == "cancel" || cmd->text == "results") {
-        request.kind = cmd->text == "cancel" ? RequestKind::Cancel
-                                             : RequestKind::Results;
-        if (!takeJob(object, request, error))
+    } else if (cmd->text == "cancel" || cmd->text == "results" ||
+               cmd->text == "wait") {
+        request.kind = cmd->text == "cancel"    ? RequestKind::Cancel
+                       : cmd->text == "results" ? RequestKind::Results
+                                                : RequestKind::Wait;
+        if (!onlyKeys(object, {"job"}, error) ||
+            !takeJob(object, request, error))
             return false;
         if (!request.hasJob) {
             error = cmd->text + " needs a \"job\" id";
@@ -333,6 +360,8 @@ parseRequest(const std::string &line, Request &out, std::string &error)
         }
     } else if (cmd->text == "drain") {
         request.kind = RequestKind::Drain;
+        if (!onlyKeys(object, {}, error))
+            return false;
     } else {
         error = "unknown cmd \"" + cmd->text + "\"";
         return false;

@@ -21,6 +21,8 @@
  *   {"cmd":"status","job":3}    one job
  *   {"cmd":"cancel","job":3}
  *   {"cmd":"results","job":3}
+ *   {"cmd":"wait","job":3}      block until the job is terminal;
+ *                               the reply is job 3's status line
  *   {"cmd":"metrics"}           daemon metrics snapshot
  *   {"cmd":"metrics","job":3}   one job's metrics
  *   {"cmd":"drain"}
@@ -82,6 +84,7 @@ enum class RequestKind
     Results,
     Drain,
     Metrics,
+    Wait,
 };
 
 /** Canonical wire name of a request kind ("submit", ...). */
@@ -101,6 +104,8 @@ struct Request
  * Parse one request line. Returns false with a human-readable
  * @p error on anything malformed: unknown cmd, missing/extra keys
  * for that cmd, wrong types, negative or non-integral job ids.
+ * cancel, results and wait require "job"; status and metrics take
+ * it optionally.
  */
 bool parseRequest(const std::string &line, Request &out,
                   std::string &error);

@@ -4,28 +4,41 @@
  * parse/format round trips and strictness), the crash-safe job
  * journal (format, fsynced append, last-write-wins replay, torn-tail
  * leniency), spec tokenization, and the exit-code contract both
- * tools and CI scripts branch on. The daemon's end-to-end behavior -
- * kill-anywhere recovery, cancel, drain, backpressure - is exercised
- * with real processes by the tools/ ctest scripts and the CI
- * service-recovery job (docs/service.md).
+ * tools and CI scripts branch on, and the blocking `wait` verb
+ * against a daemon forked in-process. The rest of the daemon's
+ * end-to-end behavior - kill-anywhere recovery, cancel, drain,
+ * backpressure - is exercised with real processes by the tools/
+ * ctest scripts and the CI service-recovery job (docs/service.md).
  */
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "service/client.hh"
 #include "service/daemon.hh"
 #include "service/journal.hh"
 #include "service/metrics.hh"
 #include "service/protocol.hh"
 #include "service/sweeprun.hh"
 #include "shard/fault.hh"
+#include "shard/result_io.hh"
 #include "util/exit_codes.hh"
 
 namespace sbn {
@@ -117,7 +130,12 @@ TEST(Protocol, RequestRoundTrips)
     Request drain;
     drain.kind = RequestKind::Drain;
 
-    for (const Request &original : {submit, results, drain}) {
+    Request wait;
+    wait.kind = RequestKind::Wait;
+    wait.hasJob = true;
+    wait.job = 7;
+
+    for (const Request &original : {submit, results, drain, wait}) {
         Request parsed;
         std::string error;
         ASSERT_TRUE(
@@ -147,6 +165,9 @@ TEST(Protocol, RejectsMalformedRequests)
         "{\"cmd\":\"results\",\"job\":-1}",   // negative job
         "{\"cmd\":\"results\",\"job\":1.5}",  // fractional job
         "{\"cmd\":\"status\",\"job\":\"x\"}", // non-numeric job
+        "{\"cmd\":\"wait\"}",                 // wait without job
+        "{\"cmd\":\"wait\",\"job\":-1}",      // negative job
+        "{\"cmd\":\"wait\",\"job\":1,\"x\":1}", // extra key
     };
     for (const char *text : bad) {
         EXPECT_FALSE(parseRequest(text, request, error)) << text;
@@ -541,6 +562,268 @@ TEST(DaemonMetrics, HeartbeatV2KeepsEveryV1Key)
     EXPECT_TRUE(fields.count("queue_depth"));
     EXPECT_TRUE(fields.count("journal_appends"));
     EXPECT_TRUE(fields.count("active_job"));
+}
+
+// ------------------------------------------------- the wait verb
+
+using SteadyClock = std::chrono::steady_clock;
+
+/** A daemon forked from this test process on its own state dir;
+ *  killed and reaped on destruction unless join()ed first. */
+class ForkedDaemon
+{
+  public:
+    explicit ForkedDaemon(const DaemonConfig &config)
+    {
+        pid_ = ::fork();
+        if (pid_ == 0)
+            ::_exit(runSweepDaemon(config));
+        // The port file is published (atomically) once listening.
+        const std::string port = daemonPortFilePath(config.stateDir);
+        const auto deadline = SteadyClock::now() + std::chrono::seconds(30);
+        while (!(listening_ = std::ifstream(port).good()) &&
+               SteadyClock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+
+    ~ForkedDaemon()
+    {
+        if (pid_ > 0) {
+            ::kill(pid_, SIGKILL);
+            ::waitpid(pid_, nullptr, 0);
+        }
+    }
+
+    ForkedDaemon(const ForkedDaemon &) = delete;
+    ForkedDaemon &operator=(const ForkedDaemon &) = delete;
+
+    bool listening() const { return listening_; }
+
+    /** The daemon's exit code once it exits on its own; -1 when it
+     *  is still running after 30 s (it is then killed). */
+    int join()
+    {
+        const auto deadline = SteadyClock::now() + std::chrono::seconds(30);
+        int status = 0;
+        while (::waitpid(pid_, &status, WNOHANG) == 0) {
+            if (SteadyClock::now() >= deadline)
+                return -1;
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        pid_ = -1;
+        return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    }
+
+  private:
+    pid_t pid_ = -1;
+    bool listening_ = false;
+};
+
+/** A bare connection for what DaemonClient cannot do: pipelined
+ *  requests, several parked waiters at once, hanging up mid-wait. */
+class RawConnection
+{
+  public:
+    explicit RawConnection(const std::string &endpoint)
+        : fd_(::socket(AF_INET, SOCK_STREAM, 0))
+    {
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        addr.sin_port = htons(
+            static_cast<std::uint16_t>(resolveDaemonPort(endpoint)));
+        EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
+                            sizeof addr),
+                  0);
+    }
+
+    ~RawConnection() { hangUp(); }
+
+    RawConnection(const RawConnection &) = delete;
+    RawConnection &operator=(const RawConnection &) = delete;
+
+    void send(const std::string &bytes)
+    {
+        ASSERT_EQ(::write(fd_, bytes.data(), bytes.size()),
+                  static_cast<ssize_t>(bytes.size()));
+    }
+
+    /** The next reply line, or "" on EOF or after 60 s of silence. */
+    std::string readLine()
+    {
+        for (;;) {
+            const std::size_t newline = buffer_.find('\n');
+            if (newline != std::string::npos) {
+                const std::string line = buffer_.substr(0, newline);
+                buffer_.erase(0, newline + 1);
+                return line;
+            }
+            pollfd p{fd_, POLLIN, 0};
+            char chunk[4096];
+            if (::poll(&p, 1, 60000) <= 0)
+                return "";
+            const ssize_t got = ::read(fd_, chunk, sizeof chunk);
+            if (got <= 0)
+                return "";
+            buffer_.append(chunk, static_cast<std::size_t>(got));
+        }
+    }
+
+    void hangUp()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+        fd_ = -1;
+    }
+
+  private:
+    int fd_ = -1;
+    std::string buffer_;
+};
+
+Request
+jobRequest(RequestKind kind, std::uint64_t job)
+{
+    Request request;
+    request.kind = kind;
+    request.hasJob = true;
+    request.job = job;
+    return request;
+}
+
+std::string
+requestLine(RequestKind kind, std::uint64_t job)
+{
+    return formatRequest(jobRequest(kind, job)) + "\n";
+}
+
+std::string
+field(const std::string &line, const std::string &key)
+{
+    JsonObject fields;
+    std::string error;
+    if (!parseFlatJsonObject(line, fields, error))
+        return "unparsable: " + line;
+    const auto it = fields.find(key);
+    return it == fields.end() ? "" : it->second.text;
+}
+
+/** What the serial sbn_sweep run of @p spec prints. */
+std::string
+serialSweepBytes(const std::string &spec)
+{
+    const std::vector<SystemConfig> points =
+        parseSweepSpecString(spec).spec.materialize();
+    std::string bytes;
+    for (std::size_t i = 0; i < points.size(); ++i)
+        bytes += formatRecord(makeSweepRecord(
+                     i, points[i], evaluateSweepPointSample(points[i]))) +
+                 "\n";
+    return bytes;
+}
+
+TEST(SweepDaemonWait, AnswersParkedWaitersAtTheTerminalTransition)
+{
+    std::string dir = ::testing::TempDir() + "sbn_service_wait_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    DaemonConfig config;
+    config.stateDir = dir + "/state";
+    config.killGraceSeconds = 0.5;
+    ForkedDaemon daemon(config);
+    ASSERT_TRUE(daemon.listening());
+    const std::string &endpoint = config.stateDir;
+
+    // --threads=1 keeps the forked workers off any thread pool this
+    // test process may already own.
+    const std::string tiny = "--n=4 --m=8 --p=0.2,0.6 --warmup=500 "
+                             "--measure=5000 --threads=1 --spawn=2";
+    const std::string slow = "--n=8 --m=16 --p=1.0 --warmup=1000 "
+                             "--measure=100000000 --threads=1 --spawn=1";
+    const auto call = [&](const Request &request) {
+        DaemonClient client(endpoint);
+        return client.call(request);
+    };
+    const auto submit = [&](const std::string &spec, double timeout) {
+        Request request;
+        request.kind = RequestKind::Submit;
+        request.spec = spec;
+        request.timeoutSeconds = timeout;
+        const ClientResponse response = call(request);
+        EXPECT_TRUE(response.ok()) << response.text("message");
+        return static_cast<std::uint64_t>(response.number("job", 0));
+    };
+
+    {
+        SCOPED_TRACE("two waiters and a quitter on one job");
+        const std::uint64_t job = submit(tiny, 0);
+        RawConnection first(endpoint), second(endpoint), quitter(endpoint);
+        first.send(requestLine(RequestKind::Wait, job));
+        second.send(requestLine(RequestKind::Wait, job));
+        quitter.send(requestLine(RequestKind::Wait, job));
+        quitter.hangUp();
+        const std::string answer = first.readLine();
+        EXPECT_EQ(field(answer, "state"), "done") << answer;
+        EXPECT_EQ(second.readLine(), answer);
+
+        // On a terminal job, wait answers at once with status's bytes.
+        RawConnection again(endpoint);
+        again.send(requestLine(RequestKind::Wait, job) +
+                   requestLine(RequestKind::Status, job));
+        EXPECT_EQ(again.readLine(), answer);
+        EXPECT_EQ(again.readLine(), answer);
+
+        const ClientResponse results =
+            call(jobRequest(RequestKind::Results, job));
+        ASSERT_TRUE(results.ok()) << results.text("message");
+        EXPECT_EQ(results.payload, serialSweepBytes(tiny));
+    }
+
+    {
+        SCOPED_TRACE("cancel answers a parked waiter, in order");
+        const std::uint64_t job = submit(slow, 0);
+        RawConnection parked(endpoint), quitter(endpoint);
+        // The status behind the wait must not be served before it.
+        parked.send(requestLine(RequestKind::Wait, job) +
+                    requestLine(RequestKind::Status, job));
+        quitter.send(requestLine(RequestKind::Wait, job));
+        quitter.hangUp();
+        const std::string live =
+            call(jobRequest(RequestKind::Status, job)).text("state");
+        EXPECT_TRUE(live == "submitted" || live == "running") << live;
+        EXPECT_TRUE(call(jobRequest(RequestKind::Cancel, job)).ok());
+        const std::string answer = parked.readLine();
+        EXPECT_EQ(field(answer, "state"), "cancelled") << answer;
+        EXPECT_EQ(parked.readLine(), answer);
+    }
+
+    {
+        SCOPED_TRACE("a timeout answers a parked waiter with failed");
+        const std::uint64_t job = submit(slow, 0.3);
+        RawConnection parked(endpoint);
+        parked.send(requestLine(RequestKind::Wait, job));
+        const std::string answer = parked.readLine();
+        EXPECT_EQ(field(answer, "state"), "failed") << answer;
+        EXPECT_NE(field(answer, "reason").find("timeout"),
+                  std::string::npos)
+            << answer;
+    }
+
+    EXPECT_EQ(call(jobRequest(RequestKind::Wait, 99)).errorCode(),
+              "unknown_job");
+
+    {
+        SCOPED_TRACE("drain delivers a parked reply before exiting");
+        const std::uint64_t job = submit(tiny, 0);
+        RawConnection parked(endpoint);
+        parked.send(requestLine(RequestKind::Wait, job));
+        Request drain;
+        drain.kind = RequestKind::Drain;
+        EXPECT_TRUE(call(drain).ok());
+        const std::string answer = parked.readLine();
+        EXPECT_EQ(field(answer, "state"), "done") << answer;
+        EXPECT_EQ(daemon.join(), kExitOk);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

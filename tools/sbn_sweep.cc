@@ -57,7 +57,6 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -340,25 +339,18 @@ dieOnErrorResponse(const char *what, const ClientResponse &response)
     std::exit(kExitFatal);
 }
 
-/** Poll the daemon until @p job reaches a terminal state. */
+/** Block until @p job is terminal; the reply is its status line. */
 ClientResponse
 waitForTerminal(const std::string &endpoint, std::uint64_t job)
 {
-    Request status;
-    status.kind = RequestKind::Status;
-    status.hasJob = true;
-    status.job = job;
-    for (;;) {
-        const ClientResponse response = callDaemon(endpoint, status);
-        if (!response.ok())
-            dieOnErrorResponse("status", response);
-        JobState state = JobState::Submitted;
-        if (parseJobState(response.text("state"), state) &&
-            jobStateTerminal(state))
-            return response;
-        timespec delay{0, 200 * 1000 * 1000};
-        ::nanosleep(&delay, nullptr);
-    }
+    Request wait;
+    wait.kind = RequestKind::Wait;
+    wait.hasJob = true;
+    wait.job = job;
+    const ClientResponse response = callDaemon(endpoint, wait);
+    if (!response.ok())
+        dieOnErrorResponse("wait", response);
+    return response;
 }
 
 /**
