@@ -38,6 +38,7 @@
 #include "shard/result_io.hh"
 #include "shard/supervisor.hh"
 #include "trace/span.hh"
+#include "util/child_wake.hh"
 #include "util/exit_codes.hh"
 #include "util/logging.hh"
 
@@ -58,21 +59,7 @@ void
 onTerminateSignal(int sig)
 {
     g_terminateSignal = sig;
-}
-
-/** Write end of the SIGCHLD self-pipe; -1 until run() creates it. */
-int g_childPipeWrite = -1;
-
-/** SIGCHLD handler: one byte into the self-pipe wakes poll(), so an
- *  exited runner is reaped (and its waiters answered) at once rather
- *  than at the next poll timeout. */
-void
-onChildSignal(int)
-{
-    const int savedErrno = errno;
-    const char byte = 0;
-    (void)!::write(g_childPipeWrite, &byte, 1);
-    errno = savedErrno;
+    ChildWake::notify();
 }
 
 /** Wall-clock seconds since the epoch, sub-second resolution. */
@@ -248,7 +235,9 @@ class Daemon
     std::deque<std::uint64_t> pending_; //!< job ids awaiting a runner
     std::uint64_t nextJobId_ = 0;
     int listenFd_ = -1;
-    int childPipe_[2] = {-1, -1}; //!< SIGCHLD self-pipe (read, write)
+    /** SIGCHLD self-pipe in the poll set: an exited runner is reaped
+     *  (and its waiters answered) at once, not at the poll timeout. */
+    ChildWake childWake_;
     std::vector<Client> clients_;
     bool draining_ = false;
     Clock::time_point lastHeartbeat_{};
@@ -375,16 +364,6 @@ Daemon::run()
     ::sigaction(SIGINT, &action, nullptr);
     ::sigaction(SIGTERM, &action, nullptr);
 
-    if (::pipe(childPipe_) != 0)
-        sbn_fatal("cannot create SIGCHLD pipe: ", std::strerror(errno));
-    for (const int fd : childPipe_)
-        ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-    g_childPipeWrite = childPipe_[1];
-    struct sigaction childAction{};
-    childAction.sa_handler = onChildSignal;
-    childAction.sa_flags = SA_RESTART | SA_NOCLDSTOP;
-    ::sigaction(SIGCHLD, &childAction, nullptr);
-
     recover();
     openListenSocket();
     writeHeartbeat();
@@ -435,7 +414,7 @@ Daemon::run()
         // polled for POLLIN so a waiter that hangs up is dropped.
         std::vector<pollfd> fds;
         fds.push_back({listenFd_, POLLIN, 0});
-        fds.push_back({childPipe_[0], POLLIN, 0});
+        fds.push_back({childWake_.fd(), POLLIN, 0});
         const std::size_t polledClients = clients_.size();
         for (const Client &client : clients_) {
             short events = POLLIN;
@@ -463,12 +442,8 @@ Daemon::run()
 
         if ((fds[0].revents & POLLIN) != 0)
             acceptClients();
-        if ((fds[1].revents & POLLIN) != 0) {
-            // Drain only; the loop top reaps right after this pass.
-            char sink[64];
-            while (::read(childPipe_[0], sink, sizeof sink) > 0) {
-            }
-        }
+        if ((fds[1].revents & POLLIN) != 0)
+            childWake_.drain(); // the loop top reaps next pass
         for (std::size_t i = 0; i < polledClients; ++i) {
             Client &client = clients_[i];
             if ((fds[2 + i].revents & POLLOUT) != 0)
@@ -1029,12 +1004,9 @@ Daemon::launchRunner(Job &job)
     if (pid < 0)
         sbn_fatal("cannot fork job runner: ", std::strerror(errno));
     if (pid == 0) {
-        // The runner's supervisor reaps its own workers: restore the
-        // default SIGCHLD before closing the self-pipe the handler
-        // writes to.
-        ::signal(SIGCHLD, SIG_DFL);
-        ::close(childPipe_[0]);
-        ::close(childPipe_[1]);
+        // The runner's supervisor reaps its own workers with a
+        // ChildWake of its own.
+        childWake_.resetInChild();
 #ifdef __linux__
         // Daemon death must take the runner's fleet down with it:
         // TERM here makes the runner's supervisor kill and reap its

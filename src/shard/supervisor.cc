@@ -14,12 +14,13 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
-#include <thread>
 
 #include "shard/fault.hh"
 #include "telemetry/telemetry.hh"
 #include "shard/result_io.hh"
+#include "util/child_wake.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -27,6 +28,10 @@ namespace sbn {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/** How often record files are checked for growth while a hang
+ *  timeout is armed and a worker runs. */
+constexpr std::chrono::milliseconds kLivenessCadence{20};
 
 /** Size of @p path, or -1 when it does not exist (yet). */
 long long
@@ -47,9 +52,9 @@ fileExists(const std::string &path)
 
 /**
  * Signal caught while a supervisor's run() loop owns the fleet.
- * async-signal-safe: the handler only stores the number; the loop
- * polls it each iteration (the poll sleep is at most pollMillis, and
- * the signal interrupts it anyway).
+ * async-signal-safe: the handler stores the number and wakes the
+ * loop's ChildWake, so a signal that lands between the loop-top check
+ * and a blocking wait still ends that wait.
  */
 volatile sig_atomic_t g_supervisorSignal = 0;
 
@@ -57,6 +62,7 @@ extern "C" void
 supervisorSignalHandler(int sig)
 {
     g_supervisorSignal = sig;
+    ChildWake::notify();
 }
 
 /** RAII install/restore of the SIGINT/SIGTERM interrupt handlers. */
@@ -69,7 +75,7 @@ class SignalGuard
         struct sigaction action;
         action.sa_handler = supervisorSignalHandler;
         ::sigemptyset(&action.sa_mask);
-        action.sa_flags = 0; // no SA_RESTART: interrupt the poll sleep
+        action.sa_flags = 0; // no SA_RESTART: interrupt the wait
         ::sigaction(SIGINT, &action, &previousInt_);
         ::sigaction(SIGTERM, &action, &previousTerm_);
     }
@@ -116,6 +122,34 @@ supervisorBackoffSeconds(const SupervisorConfig &config,
         config.backoffInitialSeconds *
             std::pow(config.backoffGrowth,
                      static_cast<double>(failures - 1)));
+}
+
+int
+supervisorWakeTimeoutMillis(const std::vector<SupervisorWakeTask> &tasks,
+                            double hang_timeout_seconds,
+                            std::chrono::steady_clock::time_point now)
+{
+    Clock::duration timeout = Clock::duration::max();
+    for (const SupervisorWakeTask &task : tasks) {
+        if (task.state == ShardState::Pending)
+            return 0;
+        if (task.state == ShardState::Backoff)
+            timeout = std::min(timeout,
+                               std::max(task.wakeAt - now,
+                                        Clock::duration::zero()));
+        if (task.state == ShardState::Running &&
+            hang_timeout_seconds > 0.0)
+            timeout = std::min<Clock::duration>(timeout,
+                                                kLivenessCadence);
+    }
+    if (timeout == Clock::duration::max())
+        return -1;
+    // Round up: a wake a fraction of a millisecond early would find
+    // nothing due and spin.
+    const auto millis =
+        std::chrono::ceil<std::chrono::milliseconds>(timeout).count();
+    return static_cast<int>(std::min<long long>(
+        millis, std::numeric_limits<int>::max()));
 }
 
 /** One supervised process slot (a shard or a steal slice). */
@@ -188,13 +222,14 @@ ShardSupervisor::spawn(Task &task)
     if (pid < 0)
         sbn_fatal("supervisor: fork failed for ", what);
     if (pid == 0) {
-        // Child. Shed the supervisor's interrupt handlers first: a
-        // worker inheriting them would swallow the Ctrl-C meant to
-        // stop the fleet. Then declare identity for fault targeting,
-        // run the body, and leave via _exit so no parent-owned stdio
-        // buffer or static destructor runs twice.
+        // Child. Shed the supervisor's signal handlers and wake pipe
+        // first: a worker inheriting them would swallow the Ctrl-C
+        // meant to stop the fleet. Then declare identity for fault
+        // targeting, run the body, and leave via _exit so no
+        // parent-owned stdio buffer or static destructor runs twice.
         ::signal(SIGINT, SIG_DFL);
         ::signal(SIGTERM, SIG_DFL);
+        wake_->resetInChild();
 #ifdef __linux__
         // No-orphan hardening: if the supervisor itself dies by
         // SIGKILL (kill-anywhere testing, OOM), the kernel kills the
@@ -305,9 +340,10 @@ ShardSupervisor::handleFailure(Task &task, int status, bool hung)
              config_.maxRetries + 1, ")");
 }
 
-void
+bool
 ShardSupervisor::reapExited()
 {
+    bool reaped = false;
     const auto reap = [&](Task &task) {
         if (task.state != ShardState::Running)
             return;
@@ -315,6 +351,7 @@ ShardSupervisor::reapExited()
         const pid_t got = ::waitpid(task.pid, &status, WNOHANG);
         if (got == 0)
             return;
+        reaped = true;
         if (got < 0) {
             // Should not happen (we own the child); treat as failure
             // so supervision cannot wedge on a lost pid.
@@ -333,13 +370,15 @@ ShardSupervisor::reapExited()
         reap(task);
     for (Task &task : stealTasks_)
         reap(task);
+    return reaped;
 }
 
-void
+bool
 ShardSupervisor::killHungWorkers()
 {
     if (config_.hangTimeoutSeconds <= 0.0)
-        return;
+        return false;
+    bool killed = false;
     const auto deadline = std::chrono::microseconds(
         static_cast<long long>(config_.hangTimeoutSeconds * 1e6));
     const auto check = [&](Task &task) {
@@ -373,11 +412,13 @@ ShardSupervisor::killHungWorkers()
         int status = 0;
         ::waitpid(task.pid, &status, 0);
         handleFailure(task, status, /*hung=*/true);
+        killed = true;
     };
     for (Task &task : shardTasks_)
         check(task);
     for (Task &task : stealTasks_)
         check(task);
+    return killed;
 }
 
 void
@@ -448,23 +489,21 @@ ShardSupervisor::allShardsTerminal() const
 void
 ShardSupervisor::maybeSteal()
 {
-    if (!config_.workStealing || stealBroken_ ||
-        stealLaunches() >= config_.maxStealLaunches)
-        return;
-    if (runningCount() >= config_.shardCount)
-        return; // no free slot
-    bool anyDone = false;
-    bool anyNotDone = false;
-    for (const Task &task : shardTasks_) {
-        anyDone = anyDone || task.state == ShardState::Done;
-        anyNotDone = anyNotDone || task.state != ShardState::Done;
-    }
-    if (!anyDone || !anyNotDone)
-        return; // steal only once a worker has actually finished
-
-    // Scanning record files is not free; do it at most a few times a
-    // second, not every poll tick.
-    if (!stealScanGate_.due(Clock::now()))
+    // Only an Exhausted shard is a victim. A live (running or
+    // backed-off) owner computes every point it owns whatever a thief
+    // writes - its canonical file must stay byte-identical - so a
+    // steal from it would be pure duplicate work, and the fleet would
+    // then wait for the thief as well.
+    const auto canSteal = [&] {
+        return config_.workStealing && !stealBroken_ &&
+               stealLaunches() < config_.maxStealLaunches &&
+               runningCount() < config_.shardCount;
+    };
+    const auto exhausted = [](const Task &task) {
+        return task.state == ShardState::Exhausted;
+    };
+    if (!canSteal() ||
+        std::none_of(shardTasks_.begin(), shardTasks_.end(), exhausted))
         return;
 
     const std::vector<bool> satisfied = satisfiedPoints();
@@ -474,43 +513,30 @@ ShardSupervisor::maybeSteal()
             claimed.insert(task.work.points.begin(),
                            task.work.points.end());
 
-    // Victim: the non-Done shard with the most unclaimed missing
-    // points.
+    // One thief per free slot, each claiming everything the
+    // exhausted shard with the most unclaimed missing points owes.
     const ShardPlan plan(config_.expectedRunFp.size(),
                          config_.shardCount, config_.layout);
-    std::size_t victim = config_.shardCount;
-    std::vector<std::size_t> victimMissing;
-    for (std::size_t i = 0; i < config_.shardCount; ++i) {
-        if (shardTasks_[i].state == ShardState::Done)
-            continue;
-        std::vector<std::size_t> missing;
-        for (std::size_t index : plan.indices(i))
-            if (!satisfied[index] && claimed.count(index) == 0)
-                missing.push_back(index);
-        if (missing.size() > victimMissing.size()) {
-            victim = i;
-            victimMissing = std::move(missing);
+    while (canSteal()) {
+        std::size_t victim = config_.shardCount;
+        std::vector<std::size_t> victimMissing;
+        for (std::size_t i = 0; i < config_.shardCount; ++i) {
+            if (!exhausted(shardTasks_[i]))
+                continue;
+            std::vector<std::size_t> missing;
+            for (std::size_t index : plan.indices(i))
+                if (!satisfied[index] && claimed.count(index) == 0)
+                    missing.push_back(index);
+            if (missing.size() > victimMissing.size()) {
+                victim = i;
+                victimMissing = std::move(missing);
+            }
         }
+        if (victimMissing.empty())
+            return;
+        claimed.insert(victimMissing.begin(), victimMissing.end());
+        launchSteal(victimMissing, victim);
     }
-    if (victim == config_.shardCount || victimMissing.empty())
-        return;
-
-    // An exhausted victim is never coming back: claim everything it
-    // still owes. A live (running / backed-off) victim is resuming
-    // its missing list front-to-back, so the thief takes the strided
-    // complement - overlap stays possible and stays harmless (the
-    // merge dedupes bit-identical recomputation), but mostly the two
-    // ends meet in the middle.
-    std::vector<std::size_t> slice;
-    if (shardTasks_[victim].state == ShardState::Exhausted) {
-        slice = victimMissing;
-    } else {
-        for (std::size_t k = 1; k < victimMissing.size(); k += 2)
-            slice.push_back(victimMissing[k]);
-    }
-    if (slice.empty())
-        return;
-    launchSteal(slice, victim);
 }
 
 void
@@ -578,9 +604,12 @@ ShardSupervisor::killAndReapAllWorkers()
 SupervisorReport
 ShardSupervisor::run()
 {
-    // Own SIGINT/SIGTERM while the fleet exists: an interrupted
-    // supervisor must not orphan its forked workers. Children reset
-    // the handlers after fork (spawn()), so only this process defers.
+    // Block on worker exits instead of a timer, and own SIGINT/SIGTERM
+    // while the fleet exists: an interrupted supervisor must not
+    // orphan its forked workers. The pipe exists before the handlers
+    // that write to it; children reset both after fork (spawn()).
+    ChildWake wake;
+    wake_ = &wake;
     SignalGuard guard;
 
     // Trace: the whole supervised run is one span, parented under
@@ -605,10 +634,13 @@ ShardSupervisor::run()
             break;
         }
 
-        reapExited();
-        killHungWorkers();
+        // Steal scans follow state changes only: a slot frees and a
+        // shard becomes Exhausted only when a worker ends.
+        const bool reaped = reapExited();
+        const bool killed = killHungWorkers();
         launchDueRespawns();
-        maybeSteal();
+        if (reaped || killed)
+            maybeSteal();
 
         if (allShardsTerminal() && runningCount() == 0) {
             const std::vector<bool> satisfied = satisfiedPoints();
@@ -630,9 +662,14 @@ ShardSupervisor::run()
             continue;
         }
 
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(config_.pollMillis));
+        std::vector<SupervisorWakeTask> wakeTasks;
+        for (const std::vector<Task> *tasks : {&shardTasks_, &stealTasks_})
+            for (const Task &task : *tasks)
+                wakeTasks.push_back({task.state, task.wakeAt});
+        wake.wait(supervisorWakeTimeoutMillis(
+            wakeTasks, config_.hangTimeoutSeconds, Clock::now()));
     }
+    wake_ = nullptr;
 
     // Terminal accounting.
     const std::vector<bool> satisfied = satisfiedPoints();

@@ -28,12 +28,18 @@
  *    like a crash. No heartbeat protocol: the progress signal is the
  *    output itself, so a worker that is alive but wedged (deadlock,
  *    infinite loop, stuck I/O) is caught too.
- *  - **Work stealing.** When a worker finishes and another shard
- *    still has missing points, the free slot runs a *steal* worker
- *    that claims a strided slice of those points into its own record
- *    file. Overlap with the victim is harmless: every point is an
- *    independent seeded computation, so duplicates are bit-identical
- *    and the merge layer dedupes them.
+ *  - **Work stealing.** When a shard exhausts its retry budget, a
+ *    free slot runs a *steal* worker that claims the points it still
+ *    owes into its own record file. Live shards are never robbed:
+ *    their owner recomputes every point it owns regardless, so a
+ *    thief would only duplicate work. Overlap stays harmless where it
+ *    happens: every point is an independent seeded computation, so
+ *    duplicates are bit-identical and the merge layer dedupes them.
+ *
+ * The loop is event-driven: it blocks on a SIGCHLD self-pipe
+ * (util/child_wake.hh) and wakes when a worker exits, when a backoff
+ * expires, or - only while a hang timeout is armed - on a 20 ms
+ * liveness cadence (supervisorWakeTimeoutMillis).
  *
  * On exhausted retries the supervisor degrades gracefully instead of
  * failing blanketly: the report lists exactly which grid points have
@@ -63,6 +69,8 @@
 #include "util/exit_codes.hh" // kPartialResultExit lives there now
 
 namespace sbn {
+
+class ChildWake;
 
 /** Lifecycle of one shard under supervision. */
 enum class ShardState
@@ -123,7 +131,6 @@ struct SupervisorConfig
     double hangTimeoutSeconds = 0.0;
 
     bool workStealing = true;
-    unsigned pollMillis = 20; //!< supervision loop period
 
     /** Total steal launches allowed (0 = 4 * shardCount). Bounds the
      *  loop when stolen work itself keeps failing. */
@@ -146,37 +153,33 @@ struct SupervisorConfig
 double supervisorBackoffSeconds(const SupervisorConfig &config,
                                 unsigned failures);
 
-/**
- * Rate gate for periodic work inside a polled loop: due() answers
- * "has at least `period` elapsed since the last admitted tick?" and
- * admits at most one tick per period. The caller supplies the clock
- * reading, which is what makes the steal-scan throttle (and any
- * future periodic duty) testable with synthetic time points.
- */
-class PeriodicGate
+/** One task as the supervision loop's wake-up timeout sees it. */
+struct SupervisorWakeTask
 {
-  public:
-    using Duration = std::chrono::steady_clock::duration;
-    using TimePoint = std::chrono::steady_clock::time_point;
-
-    explicit PeriodicGate(Duration period) : period_(period) {}
-
-    /** True (and consumes the tick) when the period has elapsed
-     *  since the last admitted tick. The first call always admits. */
-    bool due(TimePoint now)
-    {
-        if (armed_ && now - last_ < period_)
-            return false;
-        armed_ = true;
-        last_ = now;
-        return true;
-    }
-
-  private:
-    Duration period_;
-    TimePoint last_{};
-    bool armed_ = false; //!< a tick has been admitted before
+    ShardState state = ShardState::Pending;
+    std::chrono::steady_clock::time_point wakeAt{}; //!< Backoff only
 };
+
+/**
+ * How long the supervision loop may block before it has work due, in
+ * milliseconds (-1: until a worker exits or a signal arrives), as a
+ * pure function of the task states, their backoff deadlines and the
+ * hang timeout. It is the earliest of
+ *
+ *  - 0 while a task is Pending (its launch is due now);
+ *  - the time left until the earliest Backoff task's wakeAt, rounded
+ *    up to a whole millisecond (0 once it has passed);
+ *  - the fixed 20 ms liveness cadence, but only while
+ *    @p hang_timeout_seconds > 0 and some task is Running.
+ *
+ * Worker exits and SIGINT/SIGTERM end the wait early through the
+ * loop's ChildWake. Factored out like supervisorBackoffSeconds() so
+ * the schedule is pinned against a deterministic clock
+ * (tests/test_supervisor.cc).
+ */
+int supervisorWakeTimeoutMillis(const std::vector<SupervisorWakeTask> &tasks,
+                                double hang_timeout_seconds,
+                                std::chrono::steady_clock::time_point now);
 
 /** Terminal accounting for one shard. */
 struct ShardOutcome
@@ -235,8 +238,8 @@ class ShardSupervisor
 
     void spawn(Task &task);
     void killAndReapAllWorkers();
-    void reapExited();
-    void killHungWorkers();
+    bool reapExited();      //!< true when a worker was reaped
+    bool killHungWorkers(); //!< true when a hung worker was killed
     void launchDueRespawns();
     void maybeSteal();
     void launchSteal(const std::vector<std::size_t> &points,
@@ -255,7 +258,7 @@ class ShardSupervisor
     std::vector<Task> shardTasks_;
     std::vector<Task> stealTasks_;
     std::size_t stealSequence_ = 0;
-    PeriodicGate stealScanGate_{std::chrono::milliseconds(250)};
+    ChildWake *wake_ = nullptr; //!< run()'s; spawn() resets it in children
     bool stealBroken_ = false; //!< a steal worker failed; stop stealing
     SupervisorReport report_;
 

@@ -22,7 +22,10 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -99,7 +102,7 @@ serialBytes(const std::vector<SystemConfig> &points)
     return os.str();
 }
 
-/** Supervision config tuned for tests: tiny backoff, fast polling. */
+/** Supervision config tuned for tests: tiny backoff. */
 SupervisorConfig
 testConfig(const std::string &dir, const MergeCheck &check,
            std::size_t shard_count)
@@ -111,7 +114,6 @@ testConfig(const std::string &dir, const MergeCheck &check,
     config.expectedRunFp = check.expectedRunFp;
     config.backoffInitialSeconds = 0.02;
     config.backoffCapSeconds = 0.1;
-    config.pollMillis = 5;
     return config;
 }
 
@@ -423,6 +425,47 @@ TEST(Supervisor, StealRescuesAShardThatNeverMakesProgress)
     EXPECT_EQ(mergedBytes(report, check), serialBytes(points));
 }
 
+TEST(Supervisor, HealthyUnevenFleetLaunchesNoSteals)
+{
+    // Shard 0 is deliberately slow, so the other three workers finish
+    // long before it. A live shard computes every point it owns
+    // whatever a thief writes, so stealing from it would only
+    // duplicate work: the fleet must finish with no steal at all.
+    const std::vector<SystemConfig> points = testSpec().materialize();
+    const std::string dir = tempDir("uneven");
+    MergeCheck check = sweepMergeCheck(points);
+    check.shardCount = 4;
+    check.layout = ShardLayout::Contiguous;
+    check.dir = dir;
+
+    const std::function<double(const SystemConfig &)> slowEbw =
+        [](const SystemConfig &cfg) {
+            ::usleep(150000);
+            return ebwOf(cfg);
+        };
+    const WorkerBody body = [&](const WorkerTask &task) {
+        if (task.steal)
+            runStolenPointsSweep(points, task.points, ebwOf,
+                                 task.outPath, 1);
+        else
+            runShardSweep(points, task.shard, ShardLayout::Contiguous,
+                          task.shard.index == 0 ? slowEbw : ebwOf,
+                          task.outPath, /*resume=*/task.attempt > 0,
+                          1);
+    };
+    ShardSupervisor supervisor(testConfig(dir, check, 4), body);
+    const SupervisorReport report = supervisor.run();
+
+    ASSERT_TRUE(report.complete);
+    EXPECT_EQ(report.stealLaunches, 0u);
+    EXPECT_EQ(report.stolenPoints, 0u);
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        EXPECT_NE(entry.path().filename().string().rfind("steal-", 0),
+                  0u)
+            << entry.path();
+    EXPECT_EQ(mergedBytes(report, check), serialBytes(points));
+}
+
 TEST(Supervisor, ExhaustionDegradesToPartialResultAndManifest)
 {
     const std::vector<SystemConfig> points = testSpec().materialize();
@@ -538,6 +581,103 @@ TEST(Supervisor, InterruptKillsWorkersAndReportsTheSignal)
         EXPECT_EQ(::kill(pid, 0), -1) << "worker " << pid
                                       << " still alive";
         EXPECT_EQ(errno, ESRCH) << "worker " << pid;
+    }
+}
+
+TEST(Supervisor, InterruptIsNeverLostAnywhereInTheFleetsLife)
+{
+    // A SIGTERM may land anywhere in the supervision loop: during a
+    // spawn, a reap, or between the loop-top signal check and the
+    // wait for the next worker exit. Shard 0 never finishes and the
+    // hang timeout is off, so once the others exit that wait has no
+    // timeout and only the interrupt can end it: a lost wake-up hangs
+    // the supervisor, which the watchdog below reports. Every seeded
+    // delivery time must end run() with the signal and leave no
+    // child behind, reaped or not.
+    const std::vector<SystemConfig> points = testSpec().materialize();
+    std::mt19937 rng(1985);
+    std::uniform_int_distribution<int> delayUs(0, 40000);
+    std::vector<int> delays = {0};
+    for (int k = 0; k < 7; ++k)
+        delays.push_back(delayUs(rng));
+
+    for (const int delay : delays) {
+        const std::string dir =
+            tempDir("storm" + std::to_string(delay));
+        MergeCheck check = sweepMergeCheck(points);
+        check.shardCount = 4;
+        check.layout = ShardLayout::Contiguous;
+        check.dir = dir;
+
+        const pid_t child = ::fork();
+        ASSERT_NE(child, -1);
+        if (child == 0) {
+            const WorkerBody body = [&dir](const WorkerTask &task) {
+                {
+                    std::ofstream out(dir + "/worker-" +
+                                      std::to_string(task.shard.index) +
+                                      ".pid");
+                    out << ::getpid() << '\n';
+                }
+                if (task.shard.index == 0)
+                    for (;;)
+                        ::pause();
+                ::usleep(static_cast<useconds_t>(task.shard.index) *
+                         5000);
+            };
+            ShardSupervisor supervisor(testConfig(dir, check, 4), body);
+            const SupervisorReport report = supervisor.run();
+            if (report.interruptSignal != SIGTERM)
+                ::_exit(7);
+            int status = 0;
+            errno = 0;
+            if (::waitpid(-1, &status, WNOHANG) != -1 || errno != ECHILD)
+                ::_exit(9); // a worker outlived run() or was not reaped
+            ::_exit(42);
+        }
+
+        // Shards launch in index order, so shard 0's pid file means
+        // run() already owns SIGTERM.
+        const std::string firstPid = dir + "/worker-0.pid";
+        for (int spin = 0; spin < 2000; ++spin) {
+            std::ifstream in(firstPid);
+            pid_t pid = 0;
+            if (in >> pid && pid > 0)
+                break;
+            ::usleep(5000);
+        }
+        ::usleep(static_cast<useconds_t>(delay));
+        ASSERT_EQ(::kill(child, SIGTERM), 0);
+
+        int status = 0;
+        pid_t got = 0;
+        for (int spin = 0; spin < 1000 && got == 0; ++spin) {
+            got = ::waitpid(child, &status, WNOHANG);
+            if (got == 0)
+                ::usleep(10000);
+        }
+        if (got == 0) {
+            ::kill(child, SIGKILL);
+            ::waitpid(child, &status, 0);
+            FAIL() << "run() did not return within 10 s of a SIGTERM "
+                      "sent "
+                   << delay << " us after the first launch";
+        }
+        ASSERT_TRUE(WIFEXITED(status))
+            << describeWaitStatus(status) << " at delay " << delay;
+        EXPECT_EQ(WEXITSTATUS(status), 42) << "delay " << delay;
+
+        for (int shard = 0; shard < 4; ++shard) {
+            std::ifstream in(dir + "/worker-" + std::to_string(shard) +
+                             ".pid");
+            pid_t pid = 0;
+            if (!(in >> pid) || pid <= 0)
+                continue; // never launched or killed before publishing
+            errno = 0;
+            EXPECT_EQ(::kill(pid, 0), -1)
+                << "worker " << pid << " alive at delay " << delay;
+            EXPECT_EQ(errno, ESRCH) << "worker " << pid;
+        }
     }
 }
 

@@ -1,15 +1,17 @@
 /**
  * @file
  * Deterministic-clock unit tests for the ShardSupervisor's timing
- * policy: the capped-exponential retry schedule and the periodic
- * steal-scan gate. Both are pure functions of configuration and a
- * caller-supplied clock reading, so these tests pin the exact
+ * policy: the capped-exponential retry schedule and the supervision
+ * loop's wake-up timeout. Both are pure functions of configuration
+ * and a caller-supplied clock reading, so these tests pin the exact
  * schedules without a single wall-clock sleep - the end-to-end
  * supervision behavior (respawn, hang kill, steal, exhaustion) is
  * covered by tests/test_fault.cc with real processes.
  */
 
 #include <chrono>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -57,48 +59,108 @@ TEST(SupervisorBackoff, ZeroInitialMeansImmediateRetries)
     EXPECT_DOUBLE_EQ(supervisorBackoffSeconds(config, 10), 0.0);
 }
 
-TEST(PeriodicGate, AdmitsFirstTickImmediately)
+using Clock = std::chrono::steady_clock;
+using std::chrono::microseconds;
+using std::chrono::milliseconds;
+
+SupervisorWakeTask
+wakeTask(ShardState state, Clock::time_point wake_at = {})
 {
-    using namespace std::chrono;
-    PeriodicGate gate(milliseconds(250));
-    const PeriodicGate::TimePoint t0{};
-    // The very first due() must admit: a freshly-started supervision
-    // loop scans for steal opportunities right away rather than
-    // waiting out a full period that nothing armed.
-    EXPECT_TRUE(gate.due(t0));
+    return {state, wake_at};
 }
 
-TEST(PeriodicGate, AdmitsExactlyOncePerPeriod)
+TEST(SupervisorWakeTimeout, BlocksUntilAnEventWhenNothingIsDue)
 {
-    using namespace std::chrono;
-    PeriodicGate gate(milliseconds(250));
-    const PeriodicGate::TimePoint t0{};
-
-    ASSERT_TRUE(gate.due(t0));
-    // Polls inside the period are rejected, however many there are.
-    EXPECT_FALSE(gate.due(t0 + milliseconds(1)));
-    EXPECT_FALSE(gate.due(t0 + milliseconds(125)));
-    EXPECT_FALSE(gate.due(t0 + milliseconds(249)));
-    // The period boundary itself admits (>= period, not > period).
-    EXPECT_TRUE(gate.due(t0 + milliseconds(250)));
-    EXPECT_FALSE(gate.due(t0 + milliseconds(499)));
-    EXPECT_TRUE(gate.due(t0 + milliseconds(500)));
+    const Clock::time_point now{};
+    // No tasks, only finished ones, or running workers with the hang
+    // timeout off: nothing but a worker exit or a signal can make
+    // work due, so the loop blocks without a timeout.
+    EXPECT_EQ(supervisorWakeTimeoutMillis({}, 0.0, now), -1);
+    EXPECT_EQ(supervisorWakeTimeoutMillis(
+                  {wakeTask(ShardState::Done),
+                   wakeTask(ShardState::Exhausted)},
+                  0.0, now),
+              -1);
+    EXPECT_EQ(supervisorWakeTimeoutMillis(
+                  {wakeTask(ShardState::Running),
+                   wakeTask(ShardState::Running),
+                   wakeTask(ShardState::Done)},
+                  0.0, now),
+              -1);
+    // An armed hang timeout adds no cadence without a running worker.
+    EXPECT_EQ(supervisorWakeTimeoutMillis(
+                  {wakeTask(ShardState::Done)}, 2.0, now),
+              -1);
 }
 
-TEST(PeriodicGate, PeriodRestartsFromTheAdmittedTick)
+TEST(SupervisorWakeTimeout, WakesAtTheEarliestBackoffDeadline)
 {
-    using namespace std::chrono;
-    PeriodicGate gate(milliseconds(250));
-    const PeriodicGate::TimePoint t0{};
+    const Clock::time_point now = Clock::time_point{} + milliseconds(1000);
+    EXPECT_EQ(supervisorWakeTimeoutMillis(
+                  {wakeTask(ShardState::Backoff, now + milliseconds(250)),
+                   wakeTask(ShardState::Running),
+                   wakeTask(ShardState::Backoff, now + milliseconds(130))},
+                  0.0, now),
+              130);
+    // Partial milliseconds round up, so the wake never comes early.
+    EXPECT_EQ(supervisorWakeTimeoutMillis(
+                  {wakeTask(ShardState::Backoff,
+                            now + microseconds(129001))},
+                  0.0, now),
+              130);
+    // A deadline that has passed is due now.
+    EXPECT_EQ(supervisorWakeTimeoutMillis(
+                  {wakeTask(ShardState::Backoff, now - milliseconds(5))},
+                  0.0, now),
+              0);
+    // Only Backoff deadlines count; stale wakeAt values of tasks in
+    // other states are ignored.
+    EXPECT_EQ(supervisorWakeTimeoutMillis(
+                  {wakeTask(ShardState::Done, now + milliseconds(1)),
+                   wakeTask(ShardState::Running, now + milliseconds(1))},
+                  0.0, now),
+              -1);
+}
 
-    ASSERT_TRUE(gate.due(t0));
-    // A late admitted tick restarts the period from ITS time, not
-    // from the nominal grid: after admitting at t0+400ms the next
-    // admission is t0+650ms, not t0+500ms.
-    EXPECT_TRUE(gate.due(t0 + milliseconds(400)));
-    EXPECT_FALSE(gate.due(t0 + milliseconds(500)));
-    EXPECT_FALSE(gate.due(t0 + milliseconds(649)));
-    EXPECT_TRUE(gate.due(t0 + milliseconds(650)));
+TEST(SupervisorWakeTimeout, LivenessCadenceOnlyWithAHangTimeout)
+{
+    const Clock::time_point now{};
+    const std::vector<SupervisorWakeTask> running = {
+        wakeTask(ShardState::Running), wakeTask(ShardState::Done)};
+    EXPECT_EQ(supervisorWakeTimeoutMillis(running, 0.0, now), -1);
+    EXPECT_EQ(supervisorWakeTimeoutMillis(running, 0.3, now), 20);
+    EXPECT_EQ(supervisorWakeTimeoutMillis(running, 3600.0, now), 20);
+    // The earlier of the cadence and a backoff deadline wins.
+    EXPECT_EQ(supervisorWakeTimeoutMillis(
+                  {wakeTask(ShardState::Running),
+                   wakeTask(ShardState::Backoff, now + milliseconds(7))},
+                  0.3, now),
+              7);
+    EXPECT_EQ(supervisorWakeTimeoutMillis(
+                  {wakeTask(ShardState::Running),
+                   wakeTask(ShardState::Backoff, now + milliseconds(70))},
+                  0.3, now),
+              20);
+}
+
+TEST(SupervisorWakeTimeout, PendingLaunchIsDueNow)
+{
+    const Clock::time_point now{};
+    EXPECT_EQ(supervisorWakeTimeoutMillis(
+                  {wakeTask(ShardState::Running),
+                   wakeTask(ShardState::Pending)},
+                  0.0, now),
+              0);
+}
+
+TEST(SupervisorWakeTimeout, FarDeadlinesSaturateInsteadOfOverflowing)
+{
+    const Clock::time_point now{};
+    EXPECT_EQ(supervisorWakeTimeoutMillis(
+                  {wakeTask(ShardState::Backoff,
+                            now + std::chrono::hours(24 * 365))},
+                  0.0, now),
+              std::numeric_limits<int>::max());
 }
 
 } // namespace
