@@ -163,16 +163,6 @@ struct Client
     std::optional<std::uint64_t> waitingOn;
 };
 
-/** One job's status line; `wait` answers with these same bytes. */
-std::string
-jobStatusLine(const JobJournalEntry &entry)
-{
-    return "{\"ok\":true,\"job\":" + std::to_string(entry.job) +
-           ",\"state\":\"" + jobStateName(entry.state) +
-           "\",\"exit\":" + std::to_string(entry.exitCode) +
-           ",\"reason\":\"" + jsonEscape(entry.reason) + "\"}";
-}
-
 class Daemon
 {
   public:
@@ -1322,6 +1312,15 @@ Daemon::findJob(std::uint64_t id)
 }
 
 } // namespace
+
+std::string
+jobStatusLine(const JobJournalEntry &entry)
+{
+    return "{\"ok\":true,\"job\":" + std::to_string(entry.job) +
+           ",\"state\":\"" + jobStateName(entry.state) +
+           "\",\"exit\":" + std::to_string(entry.exitCode) +
+           ",\"reason\":\"" + jsonEscape(entry.reason) + "\"}";
+}
 
 std::string
 daemonJournalPath(const std::string &state_dir)

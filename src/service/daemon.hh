@@ -73,6 +73,12 @@ struct DaemonConfig
     double killGraceSeconds = 2.0;
 };
 
+struct JobJournalEntry;
+
+/** One job's status reply line (no newline); the `status` and `wait`
+ *  verbs answer with these same bytes. */
+std::string jobStatusLine(const JobJournalEntry &entry);
+
 /** <state-dir>/jobs.jsonl - the job journal. */
 std::string daemonJournalPath(const std::string &state_dir);
 
