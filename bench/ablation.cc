@@ -50,8 +50,8 @@ printReproduction()
             }
             table.addRow({rule == SelectionRule::Random ? "random"
                                                         : "oldest-first",
-                          TextTable::formatNumber(m.ebw, 3),
-                          TextTable::formatNumber(m.meanWaitCycles, 2),
+                          TextTable::formatFixed(m.ebw, 3),
+                          TextTable::formatFixed(m.meanWaitCycles, 2),
                           std::to_string(hi - lo)});
         }
         table.print(std::cout);
@@ -74,8 +74,8 @@ printReproduction()
             const double share =
                 (e - plain) / std::max(unbounded - plain, 1e-9);
             table.addRow({cap == 0 ? "unbounded" : std::to_string(cap),
-                          TextTable::formatNumber(e, 3),
-                          TextTable::formatNumber(100.0 * share, 1)});
+                          TextTable::formatFixed(e, 3),
+                          TextTable::formatFixed(100.0 * share, 1)});
         }
         table.print(std::cout);
         std::printf("unbuffered reference EBW = %.3f\n", plain);
@@ -90,7 +90,7 @@ printReproduction()
                 8, 4, 8, ArbitrationPolicy::ProcessorPriority, true);
             cfg.outputCapacity = cap;
             table.addRow({cap == 0 ? "unbounded" : std::to_string(cap),
-                          TextTable::formatNumber(runEbw(cfg), 3)});
+                          TextTable::formatFixed(runEbw(cfg), 3)});
         }
         table.print(std::cout);
     }
@@ -106,7 +106,7 @@ printReproduction()
                     ? "proc priority (g')"
                     : "mem priority (g'')"};
             for (bool buffered : {false, true})
-                row.push_back(TextTable::formatNumber(
+                row.push_back(TextTable::formatFixed(
                     ebw(8, 8, 8, policy, buffered), 3));
             table.addRow(row);
         }
@@ -135,7 +135,7 @@ printReproduction()
         const std::vector<double> results = sweepEbw(points);
         for (std::size_t i = 0; i < std::size(kHotWeights); ++i)
             table.addNumericRow(
-                TextTable::formatNumber(kHotWeights[i], 0),
+                TextTable::formatFixed(kHotWeights[i], 0),
                 {results[2 * i], results[2 * i + 1]});
         table.print(std::cout);
         std::printf("hot-spotting degrades both organizations; "

@@ -69,11 +69,11 @@ printReproduction()
                 }
                 table.addRow({std::to_string(n), std::to_string(m),
                               std::to_string(r),
-                              TextTable::formatNumber(sim, 3),
-                              TextTable::formatNumber(expo, 3),
-                              TextTable::formatNumber(100.0 * gap, 1),
-                              TextTable::formatNumber(det, 3),
-                              TextTable::formatNumber(
+                              TextTable::formatFixed(sim, 3),
+                              TextTable::formatFixed(expo, 3),
+                              TextTable::formatFixed(100.0 * gap, 1),
+                              TextTable::formatFixed(det, 3),
+                              TextTable::formatFixed(
                                   100.0 * det_gap, 1)});
             }
         }

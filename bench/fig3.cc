@@ -60,7 +60,7 @@ printReproduction()
         for (std::size_t j = 0; j < std::size(kRs); ++j)
             row.push_back(grid[j * num_ps + i].estimate.mean /
                           (8.0 * kPs[i]));
-        table.addNumericRow(TextTable::formatNumber(kPs[i], 1), row);
+        table.addNumericRow(TextTable::formatFixed(kPs[i], 1), row);
     }
     table.print(std::cout);
 

@@ -53,15 +53,15 @@ printReproduction()
 
     const std::size_t num_ps = std::size(kPs);
     for (std::size_t i = 0; i < num_ps; ++i) {
-        std::vector<std::string> row{TextTable::formatNumber(kPs[i], 1)};
+        std::vector<std::string> row{TextTable::formatFixed(kPs[i], 1)};
         for (std::size_t j = 0; j < std::size(kRs); ++j) {
             const std::size_t cell = 2 * (j * num_ps + i);
             const double scale = 8.0 * kPs[i];
             row.push_back(
-                TextTable::formatNumber(
+                TextTable::formatFixed(
                     grid[cell].estimate.mean / scale, 3) +
                 " (" +
-                TextTable::formatNumber(
+                TextTable::formatFixed(
                     grid[cell + 1].estimate.mean / scale, 3) +
                 ")");
         }

@@ -61,7 +61,7 @@ printSaturationCurve()
             return 100.0 * (kHs[i] + (1.0 - kHs[i]) / m);
         };
         table.addNumericRow(
-            TextTable::formatNumber(kHs[i], 1),
+            TextTable::formatFixed(kHs[i], 1),
             {share(8), small[i], small[num_hs + i], share(16),
              large[i]});
     }
@@ -101,7 +101,7 @@ printLatencyTails()
             const Metrics m = runOnce(cfg);
             wait.merge(*m.latencyWait);
         }
-        table.addNumericRow(TextTable::formatNumber(h, 1),
+        table.addNumericRow(TextTable::formatFixed(h, 1),
                             {wait.mean(), wait.quantile(0.50),
                              wait.quantile(0.90), wait.quantile(0.99),
                              wait.maxSample()});
@@ -138,7 +138,7 @@ printAnalyticCrossCheck()
                                : runEbw(cfg);
         const double chain =
             workloadExactMemprioEbw(4, 4, 4, workload);
-        table.addNumericRow(TextTable::formatNumber(h, 1),
+        table.addNumericRow(TextTable::formatFixed(h, 1),
                             {sim, chain, sim / chain});
         diff.add(chain, sim);
     }

@@ -46,8 +46,8 @@ printReproduction()
             const int r = std::min(n, m) + 7;
             const double ours = memprioExactEbw(n, m, r);
             diff.add(kPaper[i][j], ours);
-            row.push_back(TextTable::formatNumber(kPaper[i][j], 3) +
-                          " / " + TextTable::formatNumber(ours, 3));
+            row.push_back(TextTable::formatFixed(kPaper[i][j], 3) +
+                          " / " + TextTable::formatFixed(ours, 3));
         }
         table.addRow(row);
     }

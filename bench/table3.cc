@@ -109,8 +109,8 @@ printReproduction()
             for (int j = 0; j < 6; ++j) {
                 diff.add(kPaper3b[i][j], model[i * 6 + j]);
                 row.push_back(
-                    TextTable::formatNumber(kPaper3b[i][j], 3) + " / " +
-                    TextTable::formatNumber(model[i * 6 + j], 3));
+                    TextTable::formatFixed(kPaper3b[i][j], 3) + " / " +
+                    TextTable::formatFixed(model[i * 6 + j], 3));
             }
             table.addRow(row);
         }

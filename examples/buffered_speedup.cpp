@@ -76,14 +76,14 @@ main(int argc, char **argv)
 
         table.addRow(
             {std::to_string(r),
-             TextTable::formatNumber(plain.ebw, 3),
-             TextTable::formatNumber(buf.ebw, 3),
-             TextTable::formatNumber(
+             TextTable::formatFixed(plain.ebw, 3),
+             TextTable::formatFixed(buf.ebw, 3),
+             TextTable::formatFixed(
                  100.0 * (buf.ebw / plain.ebw - 1.0), 1),
-             TextTable::formatNumber(plain.meanWaitCycles, 1),
-             TextTable::formatNumber(buf.meanWaitCycles, 1),
-             TextTable::formatNumber(plain.meanModuleUtilization, 3),
-             TextTable::formatNumber(buf.meanModuleUtilization, 3)});
+             TextTable::formatFixed(plain.meanWaitCycles, 1),
+             TextTable::formatFixed(buf.meanWaitCycles, 1),
+             TextTable::formatFixed(plain.meanModuleUtilization, 3),
+             TextTable::formatFixed(buf.meanModuleUtilization, 3)});
     }
     table.print(std::cout);
 

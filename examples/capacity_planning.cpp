@@ -91,12 +91,12 @@ main(int argc, char **argv)
             }
             if (best_r > 0) {
                 table.addRow({std::to_string(m), std::to_string(best_r),
-                              TextTable::formatNumber(best_e, 3),
+                              TextTable::formatFixed(best_e, 3),
                               std::to_string(n + m)});
                 ++found_any;
             } else {
                 table.addRow({std::to_string(m), "-",
-                              TextTable::formatNumber(best_e, 3),
+                              TextTable::formatFixed(best_e, 3),
                               std::to_string(n + m)});
             }
         }

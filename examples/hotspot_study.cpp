@@ -72,13 +72,13 @@ main(int argc, char **argv)
         // becomes the bottleneck; approximate it from the aggregate:
         // total access cycles concentrate on module 0.
         table.addRow(
-            {TextTable::formatNumber(w, 0),
-             TextTable::formatNumber(100.0 * share, 1),
-             TextTable::formatNumber(plain.ebw, 3),
-             TextTable::formatNumber(buf.ebw, 3),
-             TextTable::formatNumber(
+            {TextTable::formatFixed(w, 0),
+             TextTable::formatFixed(100.0 * share, 1),
+             TextTable::formatFixed(plain.ebw, 3),
+             TextTable::formatFixed(buf.ebw, 3),
+             TextTable::formatFixed(
                  100.0 * (buf.ebw / plain.ebw - 1.0), 1),
-             TextTable::formatNumber(
+             TextTable::formatFixed(
                  buf.meanModuleUtilization * m * share, 3)});
     }
     table.print(std::cout);

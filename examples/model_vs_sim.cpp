@@ -91,11 +91,11 @@ main(int argc, char **argv)
                    const AdaptiveEstimate &sim) {
         const Estimate &e = sim.estimate;
         table.addRow(
-            {what, TextTable::formatNumber(model, 3),
-             TextTable::formatNumber(e.mean, 3) + " +/- " +
-                 TextTable::formatNumber(e.halfWidth, 3),
+            {what, TextTable::formatFixed(model, 3),
+             TextTable::formatFixed(e.mean, 3) + " +/- " +
+                 TextTable::formatFixed(e.halfWidth, 3),
              std::to_string(e.samples) + (sim.converged ? "" : "*"),
-             TextTable::formatNumber(
+             TextTable::formatFixed(
                  100.0 * (model - e.mean) / e.mean, 2)});
     };
 

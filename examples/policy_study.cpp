@@ -61,11 +61,11 @@ main(int argc, char **argv)
         const double model_mem = memprioExactEbw(n, m, r);
 
         table.addRow(
-            {std::to_string(r), TextTable::formatNumber(sim_proc, 3),
-             TextTable::formatNumber(model_proc, 3),
-             TextTable::formatNumber(sim_mem, 3),
-             TextTable::formatNumber(model_mem, 3),
-             TextTable::formatNumber(
+            {std::to_string(r), TextTable::formatFixed(sim_proc, 3),
+             TextTable::formatFixed(model_proc, 3),
+             TextTable::formatFixed(sim_mem, 3),
+             TextTable::formatFixed(model_mem, 3),
+             TextTable::formatFixed(
                  100.0 * (sim_proc / sim_mem - 1.0), 1)});
     }
     table.print(std::cout);

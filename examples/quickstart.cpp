@@ -59,7 +59,7 @@ main(int argc, char **argv)
                     std::to_string(m.measuredCycles) + " bus cycles");
     table.setHeader({"metric", "value"});
     auto add = [&](const char *name, double v, int prec = 4) {
-        table.addRow({name, TextTable::formatNumber(v, prec)});
+        table.addRow({name, TextTable::formatFixed(v, prec)});
     };
     add("EBW (services per processor cycle)", m.ebw);
     add("EBW ceiling (r+2)/2", cfg.maxEbw(), 1);

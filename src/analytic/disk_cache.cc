@@ -12,7 +12,7 @@
 #include <cstring>
 #include <fstream>
 
-#include "core/fingerprint.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -81,22 +81,16 @@ loadCachedSolve(const std::string &stem, std::uint64_t fingerprint,
         if (!std::getline(in, line))
             return reject("truncated value list");
         // "<%.17g> 0x<bits>": the bits are authoritative; the decimal
-        // must re-serialize to them (tamper/corruption check).
+        // must agree with them (tamper/corruption check).
         const std::size_t space = line.rfind(' ');
         if (space == std::string::npos)
             return reject("malformed value line");
-        std::uint64_t bits = 0;
-        if (!parseFingerprint(line.substr(space + 1), bits))
-            return reject("malformed bit pattern");
-        errno = 0;
-        end = nullptr;
-        const double decimal =
-            std::strtod(line.c_str(), &end);
-        if (end != line.c_str() + space)
-            return reject("malformed decimal value");
-        if (doubleFingerprintBits(decimal) != bits)
-            return reject("decimal/bits disagreement");
-        loaded.push_back(doubleFromFingerprintBits(bits));
+        double value = 0;
+        if (const char *why = checkExactDouble(
+                line.substr(0, space),
+                std::string_view(line).substr(space + 1), value))
+            return reject(why);
+        loaded.push_back(value);
     }
     if (std::getline(in, line))
         return reject("trailing data");
@@ -136,7 +130,7 @@ storeCachedSolve(const std::string &stem, std::uint64_t fingerprint,
             << "count " << values.size() << '\n';
         for (const double value : values) {
             out << formatExactDouble(value) << ' '
-                << formatFingerprint(doubleFingerprintBits(value))
+                << formatFingerprint(doubleBits(value))
                 << '\n';
         }
         out.flush();

@@ -1,7 +1,6 @@
 #include "core/fingerprint.hh"
 
-#include <cstdio>
-#include <cstring>
+#include "util/flatjson.hh"
 
 namespace sbn {
 
@@ -31,7 +30,7 @@ class Hasher
         // Hash the IEEE-754 bit pattern: two configs fingerprint
         // equal exactly when the doubles compare bit-equal, which is
         // the same equivalence the bit-exact record format uses.
-        u64(doubleFingerprintBits(value));
+        u64(doubleBits(value));
     }
 
     std::uint64_t
@@ -55,31 +54,6 @@ fingerprintMix(std::uint64_t state, std::uint64_t value)
         state *= kFnvPrime;
     }
     return state;
-}
-
-std::uint64_t
-doubleFingerprintBits(double value)
-{
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof value, "IEEE-754 double");
-    std::memcpy(&bits, &value, sizeof bits);
-    return bits;
-}
-
-double
-doubleFromFingerprintBits(std::uint64_t bits)
-{
-    double value;
-    std::memcpy(&value, &bits, sizeof value);
-    return value;
-}
-
-std::string
-formatExactDouble(double value)
-{
-    char buffer[40];
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    return buffer;
 }
 
 std::uint64_t
@@ -117,36 +91,6 @@ configFingerprint(const SystemConfig &config)
         h.i64(static_cast<std::int64_t>(config.kernel));
     }
     return h.digest();
-}
-
-std::string
-formatFingerprint(std::uint64_t fingerprint)
-{
-    char buffer[24];
-    std::snprintf(buffer, sizeof buffer, "0x%016llx",
-                  static_cast<unsigned long long>(fingerprint));
-    return buffer;
-}
-
-bool
-parseFingerprint(const std::string &text, std::uint64_t &out)
-{
-    if (text.size() != 18 || text[0] != '0' || text[1] != 'x')
-        return false;
-    std::uint64_t value = 0;
-    for (std::size_t i = 2; i < text.size(); ++i) {
-        const char c = text[i];
-        std::uint64_t digit;
-        if (c >= '0' && c <= '9')
-            digit = static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            digit = static_cast<std::uint64_t>(c - 'a') + 10;
-        else
-            return false;
-        value = (value << 4) | digit;
-    }
-    out = value;
-    return true;
 }
 
 } // namespace sbn

@@ -39,31 +39,6 @@ std::uint64_t configFingerprint(const SystemConfig &config);
  */
 std::uint64_t fingerprintMix(std::uint64_t state, std::uint64_t value);
 
-/** The IEEE-754 bit pattern of @p value, as fingerprint input. */
-std::uint64_t doubleFingerprintBits(double value);
-
-/** Rebuild the double behind a doubleFingerprintBits() pattern. */
-double doubleFromFingerprintBits(std::uint64_t bits);
-
-/**
- * The canonical exact decimal form of a double: %.17g, which
- * round-trips the bit pattern. Every serializer that pairs decimals
- * with bit patterns (shard records, the analytic disk cache, golden
- * files) must render through this one function so the codecs can
- * never drift apart.
- */
-std::string formatExactDouble(double value);
-
-/** Render a fingerprint as the canonical "0x%016x" record form. */
-std::string formatFingerprint(std::uint64_t fingerprint);
-
-/**
- * Parse the canonical "0x%016x" form back. Returns false (leaving
- * @p out untouched) on anything else - wrong prefix, wrong length,
- * non-hex digits.
- */
-bool parseFingerprint(const std::string &text, std::uint64_t &out);
-
 } // namespace sbn
 
 #endif // SBN_CORE_FINGERPRINT_HH

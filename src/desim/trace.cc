@@ -1,43 +1,8 @@
 #include "desim/trace.hh"
 
+#include "util/flatjson.hh"
+
 namespace sbn {
-
-namespace {
-
-/** Minimal JSON string escaping for the Jsonl stream format. Kept
- *  local: desim must not depend on the service layer's jsonEscape,
- *  but the escapes match it, so service/protocol.hh's
- *  parseFlatJsonObject round-trips these lines. */
-std::string
-escapeJson(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 TraceSink::TraceSink(std::ostream *stream, std::size_t capacity,
                      TraceFormat format)
@@ -89,9 +54,12 @@ TraceSink::record(Tick tick, const std::string &category,
     ++emitted_;
     if (stream_) {
         if (format_ == TraceFormat::Jsonl) {
-            *stream_ << "{\"tick\":" << tick << ",\"category\":\""
-                     << escapeJson(category) << "\",\"message\":\""
-                     << escapeJson(message) << "\"}\n";
+            *stream_ << FlatWriter()
+                            .unsignedInt("tick", tick)
+                            .string("category", category)
+                            .string("message", message)
+                            .finish()
+                     << '\n';
         } else {
             *stream_ << tick << ": [" << category << "] " << message
                      << '\n';

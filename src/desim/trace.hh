@@ -53,7 +53,8 @@ class TraceSink
      * @param capacity  maximum records retained (oldest dropped)
      * @param format    stream rendering; Jsonl emits
      *                  {"tick":N,"category":"...","message":"..."}
-     *                  lines that parseFlatJsonObject round-trips
+     *                  lines in the one flat-JSON codec's form
+     *                  (util/flatjson.hh)
      */
     explicit TraceSink(std::ostream *stream = nullptr,
                        std::size_t capacity = 65536,

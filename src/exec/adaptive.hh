@@ -29,7 +29,7 @@
 #include "core/config.hh"
 #include "exec/parallel_runner.hh"
 #include "exec/sweep.hh"
-#include "stats/batch_means.hh"
+#include "stats/accumulator.hh"
 
 namespace sbn {
 

@@ -23,7 +23,7 @@
 #include "core/config.hh"
 #include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
-#include "stats/batch_means.hh"
+#include "stats/accumulator.hh"
 
 namespace sbn {
 

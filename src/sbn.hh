@@ -52,11 +52,11 @@
 #include "shard/runner.hh"
 #include "shard/supervisor.hh"
 #include "stats/accumulator.hh"
-#include "stats/batch_means.hh"
 #include "stats/histogram.hh"
 #include "stats/replication.hh"
 #include "util/cli.hh"
 #include "util/combinatorics.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/table.hh"

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,36 +45,32 @@ allDigits(const std::string &text)
 bool
 ClientResponse::ok() const
 {
-    const auto it = fields.find("ok");
-    return it != fields.end() &&
-           it->second.kind == JsonScalar::Kind::Bool &&
-           it->second.boolean;
+    std::string error;
+    bool ok = false;
+    return FlatReader(fields, error).boolean("ok", ok) && ok;
 }
 
 std::string
 ClientResponse::errorCode() const
 {
-    if (ok())
-        return "";
-    const auto it = fields.find("error");
-    return it == fields.end() ? "" : it->second.text;
+    return ok() ? "" : text("error");
 }
 
 std::string
 ClientResponse::text(const std::string &key) const
 {
-    const auto it = fields.find(key);
-    return it == fields.end() ? "" : it->second.text;
+    std::string error, value;
+    FlatReader(fields, error).string(key, value);
+    return value;
 }
 
-double
-ClientResponse::number(const std::string &key, double def) const
+std::uint64_t
+ClientResponse::number(const std::string &key, std::uint64_t def) const
 {
-    const auto it = fields.find(key);
-    if (it == fields.end() ||
-        it->second.kind != JsonScalar::Kind::Number)
-        return def;
-    return it->second.number;
+    std::string error;
+    std::uint64_t value = def;
+    FlatReader(fields, error).unsignedInt(key, value);
+    return value;
 }
 
 int
@@ -184,16 +179,16 @@ DaemonClient::call(const Request &request)
     ClientResponse response;
     const std::string header = readLine();
     std::string error;
-    if (!parseFlatJsonObject(header, response.fields, error))
+    if (!parseFlatObject(header, response.fields, error))
         sbn_fatal("malformed daemon response '", header,
                   "': ", error);
 
     if (request.kind == RequestKind::Results && response.ok()) {
-        const double bytes = response.number("bytes", -1);
-        if (bytes < 0 || bytes != std::floor(bytes))
+        std::uint64_t bytes = 0;
+        if (!FlatReader(response.fields, error).unsignedInt("bytes", bytes))
             sbn_fatal("results response carries no byte count: ",
                       header);
-        std::size_t remaining = static_cast<std::size_t>(bytes);
+        std::size_t remaining = bytes;
         response.payload.reserve(remaining);
         char buffer[65536];
         while (remaining > 0) {

@@ -12,23 +12,25 @@
 #include <string>
 
 #include "service/protocol.hh"
+#include "util/flatjson.hh"
 
 namespace sbn {
 
 /** One parsed daemon response (+ raw results payload when present). */
 struct ClientResponse
 {
-    JsonObject fields;   //!< the flat header/response object
+    FlatObject fields;   //!< the flat header/response object
     std::string payload; //!< results: the raw merged JSONL bytes
 
     bool ok() const;
     /** fields["error"] text, or "" when ok. */
     std::string errorCode() const;
-    /** fields[key] as text ("" when absent); numbers keep their wire
-     *  spelling. */
+    /** fields[key] as a string ("" when absent or not a string). */
     std::string text(const std::string &key) const;
-    /** fields[key] as a number (@p def when absent/not a number). */
-    double number(const std::string &key, double def = 0) const;
+    /** fields[key] as an unsigned integer (@p def when absent or not
+     *  plain decimal digits within 64 bits). */
+    std::uint64_t number(const std::string &key,
+                         std::uint64_t def = 0) const;
 };
 
 /**

@@ -40,6 +40,7 @@
 #include "trace/span.hh"
 #include "util/child_wake.hh"
 #include "util/exit_codes.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -698,8 +699,11 @@ Daemon::handleSubmit(Client &client, const Request &request)
     journal_.append(job.entry);
     pending_.push_back(id);
 
-    respond(client, "{\"ok\":true,\"job\":" + std::to_string(id) +
-                        ",\"state\":\"submitted\"}");
+    respond(client, FlatWriter()
+                        .boolean("ok", true)
+                        .unsignedInt("job", id)
+                        .string("state", "submitted")
+                        .finish());
 }
 
 void
@@ -722,14 +726,15 @@ Daemon::handleStatus(Client &client, const Request &request)
                 break;
             }
         }
-        respond(client,
-                "{\"ok\":true,\"queued\":" +
-                    std::to_string(queuedCount()) + ",\"running\":" +
-                    std::to_string(runningCount()) + ",\"done\":" +
-                    std::to_string(done) + ",\"failed\":" +
-                    std::to_string(failed) + ",\"cancelled\":" +
-                    std::to_string(cancelled) + ",\"draining\":" +
-                    (draining_ ? "true" : "false") + "}");
+        respond(client, FlatWriter()
+                            .boolean("ok", true)
+                            .unsignedInt("queued", queuedCount())
+                            .unsignedInt("running", runningCount())
+                            .unsignedInt("done", done)
+                            .unsignedInt("failed", failed)
+                            .unsignedInt("cancelled", cancelled)
+                            .boolean("draining", draining_)
+                            .finish());
         return;
     }
     const Job *job = findJob(request.job);
@@ -790,9 +795,11 @@ Daemon::handleCancel(Client &client, const Request &request)
     if (job->runnerPid > 0)
         killJobRunner(*job);
 
-    respond(client, "{\"ok\":true,\"job\":" +
-                        std::to_string(request.job) +
-                        ",\"state\":\"cancelled\"}");
+    respond(client, FlatWriter()
+                        .boolean("ok", true)
+                        .unsignedInt("job", request.job)
+                        .string("state", "cancelled")
+                        .finish());
 }
 
 void
@@ -825,10 +832,13 @@ Daemon::handleResults(Client &client, const Request &request)
     std::ostringstream payload;
     payload << in.rdbuf();
     const std::string bytes = payload.str();
-    const std::string header =
-        "{\"ok\":true,\"job\":" + std::to_string(request.job) +
-        ",\"exit\":" + std::to_string(job->entry.exitCode) +
-        ",\"bytes\":" + std::to_string(bytes.size()) + "}\n";
+    const std::string header = FlatWriter()
+                                   .boolean("ok", true)
+                                   .unsignedInt("job", request.job)
+                                   .integer("exit", job->entry.exitCode)
+                                   .unsignedInt("bytes", bytes.size())
+                                   .finish() +
+                               "\n";
     queueOutput(client, header);
     queueOutput(client, bytes);
     // Counted when queued, not when the peer drains it: the metric
@@ -841,7 +851,10 @@ void
 Daemon::handleDrain(Client &client)
 {
     draining_ = true;
-    respond(client, "{\"ok\":true,\"draining\":true}");
+    respond(client, FlatWriter()
+                        .boolean("ok", true)
+                        .boolean("draining", true)
+                        .finish());
 }
 
 void
@@ -873,18 +886,16 @@ Daemon::handleMetrics(Client &client, const Request &request)
             wall = unixNow() - job->entry.startedUnix;
         wall = std::max(0.0, wall);
     }
-    char wallText[32];
-    std::snprintf(wallText, sizeof wallText, "%.3f", wall);
-    char cpuText[32];
-    std::snprintf(cpuText, sizeof cpuText, "%.3f", job->cpuSeconds);
-    respond(client,
-            "{\"ok\":true,\"type\":\"sbn.metrics.v1\",\"job\":" +
-                std::to_string(request.job) + ",\"state\":\"" +
-                jobStateName(job->entry.state) +
-                "\",\"launches\":" + std::to_string(job->launches) +
-                ",\"wall_s\":" + wallText + ",\"cpu_s\":" + cpuText +
-                ",\"exit\":" + std::to_string(job->entry.exitCode) +
-                "}");
+    respond(client, FlatWriter()
+                        .boolean("ok", true)
+                        .string("type", "sbn.metrics.v1")
+                        .unsignedInt("job", request.job)
+                        .string("state", jobStateName(job->entry.state))
+                        .unsignedInt("launches", job->launches)
+                        .fixed("wall_s", wall, 3)
+                        .fixed("cpu_s", job->cpuSeconds, 3)
+                        .integer("exit", job->entry.exitCode)
+                        .finish());
 }
 
 DaemonMetricsSnapshot
@@ -1316,10 +1327,13 @@ Daemon::findJob(std::uint64_t id)
 std::string
 jobStatusLine(const JobJournalEntry &entry)
 {
-    return "{\"ok\":true,\"job\":" + std::to_string(entry.job) +
-           ",\"state\":\"" + jobStateName(entry.state) +
-           "\",\"exit\":" + std::to_string(entry.exitCode) +
-           ",\"reason\":\"" + jsonEscape(entry.reason) + "\"}";
+    return FlatWriter()
+        .boolean("ok", true)
+        .unsignedInt("job", entry.job)
+        .string("state", jobStateName(entry.state))
+        .integer("exit", entry.exitCode)
+        .string("reason", entry.reason)
+        .finish();
 }
 
 std::string

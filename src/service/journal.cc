@@ -5,13 +5,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 
-#include "service/protocol.hh"
 #include "shard/fault.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -65,101 +63,56 @@ formatJournalEntry(const JobJournalEntry &entry)
     // Fixed key order, every key always present: the same strictness
     // discipline as the point-record format, so parsing never has to
     // guess and the bytes of a given transition are deterministic.
-    char timeout[32];
-    std::snprintf(timeout, sizeof timeout, "%.17g",
-                  entry.timeoutSeconds);
-    char started[32];
-    std::snprintf(started, sizeof started, "%.17g",
-                  entry.startedUnix);
-    std::string line = "{\"type\":\"sbn.job.v1\",\"job\":";
-    line += std::to_string(entry.job);
-    line += ",\"state\":\"";
-    line += jobStateName(entry.state);
-    line += "\",\"spec\":\"";
-    line += jsonEscape(entry.spec);
-    line += "\",\"timeout_s\":";
-    line += timeout;
-    line += ",\"started_unix\":";
-    line += started;
-    line += ",\"exit\":";
-    line += std::to_string(entry.exitCode);
-    line += ",\"reason\":\"";
-    line += jsonEscape(entry.reason);
-    line += "\"}";
-    return line;
+    return FlatWriter()
+        .string("type", "sbn.job.v1")
+        .unsignedInt("job", entry.job)
+        .string("state", jobStateName(entry.state))
+        .string("spec", entry.spec)
+        .exact("timeout_s", entry.timeoutSeconds)
+        .exact("started_unix", entry.startedUnix)
+        .integer("exit", entry.exitCode)
+        .string("reason", entry.reason)
+        .finish();
 }
 
 bool
 parseJournalEntry(const std::string &line, JobJournalEntry &out,
                   std::string &error)
 {
-    JsonObject object;
-    if (!parseFlatJsonObject(line, object, error))
+    FlatObject object;
+    if (!parseFlatObject(line, object, error))
         return false;
-
-    const auto string = [&](const char *key,
-                            std::string &value) -> bool {
-        const auto it = object.find(key);
-        if (it == object.end() ||
-            it->second.kind != JsonScalar::Kind::String) {
-            error = std::string("missing string key \"") + key + '"';
-            return false;
-        }
-        value = it->second.text;
-        return true;
-    };
-    const auto number = [&](const char *key, double &value) -> bool {
-        const auto it = object.find(key);
-        if (it == object.end() ||
-            it->second.kind != JsonScalar::Kind::Number) {
-            error = std::string("missing number key \"") + key + '"';
-            return false;
-        }
-        value = it->second.number;
-        return true;
-    };
+    FlatReader read(object, error);
 
     std::string type;
-    if (!string("type", type))
+    if (!read.string("type", type))
         return false;
     if (type != "sbn.job.v1") {
         error = "not a job journal line (type \"" + type + "\")";
         return false;
     }
-    if (object.size() != 8) {
-        error = "a journal line carries exactly 8 keys";
-        return false;
-    }
 
     JobJournalEntry entry;
-    double job = 0;
-    if (!number("job", job))
-        return false;
-    if (job < 0 || job != std::floor(job)) {
-        error = "\"job\" must be a non-negative integer";
-        return false;
-    }
-    entry.job = static_cast<std::uint64_t>(job);
-
     std::string state;
-    if (!string("state", state))
+    std::uint64_t exit_code = 0;
+    if (!read.unsignedInt("job", entry.job) || !read.string("state", state))
         return false;
     if (!parseJobState(state, entry.state)) {
         error = "unknown job state \"" + state + "\"";
         return false;
     }
-    if (!string("spec", entry.spec))
+    if (!read.string("spec", entry.spec) ||
+        !read.finiteDouble("timeout_s", entry.timeoutSeconds) ||
+        !read.finiteDouble("started_unix", entry.startedUnix) ||
+        !read.unsignedInt("exit", exit_code) ||
+        !read.string("reason", entry.reason) || !read.finish())
         return false;
-    if (!number("timeout_s", entry.timeoutSeconds))
+    // Exit codes are process dispositions, 0-255.
+    if (exit_code > 255) {
+        error = "\"exit\" must be an exit status (0-255)";
         return false;
-    if (!number("started_unix", entry.startedUnix))
-        return false;
-    double exitCode = 0;
-    if (!number("exit", exitCode))
-        return false;
-    entry.exitCode = static_cast<int>(exitCode);
-    if (!string("reason", entry.reason))
-        return false;
+    }
+    entry.exitCode = static_cast<int>(exit_code);
     out = entry;
     return true;
 }

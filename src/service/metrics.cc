@@ -1,61 +1,49 @@
 #include "service/metrics.hh"
 
-#include <cstdio>
+#include "util/flatjson.hh"
 
 namespace sbn {
 
-namespace {
-
-std::string
-formatSeconds(double value)
+void
+writeDaemonMetricsFields(FlatWriter &out, const DaemonMetricsSnapshot &m)
 {
     // Millisecond resolution is plenty for uptime; fixed-point keeps
     // the field regular for line-oriented consumers (no exponents).
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.3f", value);
-    return buffer;
-}
-
-} // namespace
-
-std::string
-formatDaemonMetricsFields(const DaemonMetricsSnapshot &m)
-{
-    std::string out;
-    out += "\"uptime_s\":" + formatSeconds(m.uptimeSeconds);
-    out += ",\"queued\":" + std::to_string(m.queued);
-    out += ",\"running\":" + std::to_string(m.running);
-    out += ",\"done\":" + std::to_string(m.done);
-    out += ",\"failed\":" + std::to_string(m.failed);
-    out += ",\"cancelled\":" + std::to_string(m.cancelled);
-    out += ",\"jobs_total\":" + std::to_string(m.jobsTotal);
-    out += ",\"queue_depth\":" + std::to_string(m.queueDepth);
-    out += ",\"draining\":";
-    out += m.draining ? "true" : "false";
-    out += ",\"journal_appends\":" + std::to_string(m.journalAppends);
-    out += ",\"journal_fsyncs\":" + std::to_string(m.journalFsyncs);
-    out += ",\"results_bytes_served\":" +
-           std::to_string(m.resultsBytesServed);
-    out += ",\"runner_relaunches\":" +
-           std::to_string(m.runnerRelaunches);
-    out += ",\"active_job\":";
-    out += m.hasActiveJob ? std::to_string(m.activeJob) : "null";
-    return out;
+    out.fixed("uptime_s", m.uptimeSeconds, 3)
+        .unsignedInt("queued", m.queued)
+        .unsignedInt("running", m.running)
+        .unsignedInt("done", m.done)
+        .unsignedInt("failed", m.failed)
+        .unsignedInt("cancelled", m.cancelled)
+        .unsignedInt("jobs_total", m.jobsTotal)
+        .unsignedInt("queue_depth", m.queueDepth)
+        .boolean("draining", m.draining)
+        .unsignedInt("journal_appends", m.journalAppends)
+        .unsignedInt("journal_fsyncs", m.journalFsyncs)
+        .unsignedInt("results_bytes_served", m.resultsBytesServed)
+        .unsignedInt("runner_relaunches", m.runnerRelaunches);
+    if (m.hasActiveJob)
+        out.unsignedInt("active_job", m.activeJob);
+    else
+        out.null("active_job");
 }
 
 std::string
 formatDaemonMetricsResponse(const DaemonMetricsSnapshot &m)
 {
-    return "{\"ok\":true,\"type\":\"sbn.metrics.v1\"," +
-           formatDaemonMetricsFields(m) + "}";
+    FlatWriter out;
+    out.boolean("ok", true).string("type", "sbn.metrics.v1");
+    writeDaemonMetricsFields(out, m);
+    return out.finish();
 }
 
 std::string
 formatHeartbeatV2(const DaemonMetricsSnapshot &m, long long ts_unix)
 {
-    return "{\"type\":\"sbn.heartbeat.v2\",\"ts_unix\":" +
-           std::to_string(ts_unix) + "," +
-           formatDaemonMetricsFields(m) + "}\n";
+    FlatWriter out;
+    out.string("type", "sbn.heartbeat.v2").integer("ts_unix", ts_unix);
+    writeDaemonMetricsFields(out, m);
+    return out.finish() + "\n";
 }
 
 } // namespace sbn

@@ -20,6 +20,8 @@
 
 namespace sbn {
 
+class FlatWriter;
+
 /** Everything the daemon reports about itself at one instant. */
 struct DaemonMetricsSnapshot
 {
@@ -52,14 +54,14 @@ struct DaemonMetricsSnapshot
 };
 
 /**
- * The snapshot's fields as `"key":value` pairs joined by commas - no
- * surrounding braces, so callers can splice them into their own
- * envelope: the metrics response prepends `"ok":true,"type":...`,
- * the heartbeat prepends `"type":...,"ts_unix":...`. `active_job` is
- * a number, or null when no runner is alive. Key order is fixed and
- * documented; consumers may rely on it.
+ * Append the snapshot's fields to @p out, so callers can put them in
+ * their own envelope: the metrics response leads with
+ * `"ok":true,"type":...`, the heartbeat with `"type":...,"ts_unix":...`.
+ * `active_job` is a number, or null when no runner is alive. Key
+ * order is fixed and documented; consumers may rely on it.
  */
-std::string formatDaemonMetricsFields(const DaemonMetricsSnapshot &m);
+void writeDaemonMetricsFields(FlatWriter &out,
+                              const DaemonMetricsSnapshot &m);
 
 /** The full `metrics` response line (no newline):
  *  `{"ok":true,"type":"sbn.metrics.v1",<fields>}`. */

@@ -8,9 +8,9 @@
  * header line is followed by exactly `bytes` bytes of raw merged
  * JSONL payload (the job's point records, byte-identical to the
  * serial sweep). Flat means: string / number / boolean / null
- * values only, no nesting - which keeps the parser small, strict
- * and fuzzable, in the spirit of the record format
- * (shard/result_io.hh).
+ * values only, no nesting. Every line is read and written by the
+ * one flat-JSON codec (util/flatjson.hh), the same one the record
+ * format uses (shard/result_io.hh).
  *
  * Requests (the `cmd` key selects; docs/service.md has the full
  * grammar and examples):
@@ -38,42 +38,9 @@
 #define SBN_SERVICE_PROTOCOL_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 namespace sbn {
-
-/** One scalar value of a flat JSON object. */
-struct JsonScalar
-{
-    enum class Kind
-    {
-        String,
-        Number,
-        Bool,
-        Null,
-    };
-
-    Kind kind = Kind::Null;
-    std::string text;    //!< String payload (unescaped)
-    double number = 0.0; //!< Number payload
-    bool boolean = false;
-};
-
-/** Key -> scalar map of one flat JSON object line. */
-using JsonObject = std::map<std::string, JsonScalar>;
-
-/**
- * Parse one flat JSON object. Strict: the whole line must be a
- * single `{...}` object of string keys and scalar values (string,
- * number, true/false/null); duplicate keys, nesting, trailing bytes
- * and malformed escapes are errors. Returns false and sets @p error.
- */
-bool parseFlatJsonObject(const std::string &line, JsonObject &out,
-                         std::string &error);
-
-/** JSON string escaping for the characters the protocol can carry. */
-std::string jsonEscape(const std::string &text);
 
 /** What a parsed request asks for. */
 enum class RequestKind
@@ -103,7 +70,8 @@ struct Request
 /**
  * Parse one request line. Returns false with a human-readable
  * @p error on anything malformed: unknown cmd, missing/extra keys
- * for that cmd, wrong types, negative or non-integral job ids.
+ * for that cmd, wrong types, a job id that is not plain decimal
+ * digits within 64 bits, a timeout that is negative or not finite.
  * cancel, results and wait require "job"; status and metrics take
  * it optionally.
  */

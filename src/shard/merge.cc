@@ -5,6 +5,7 @@
 #include "core/fingerprint.hh"
 #include "shard/fault.hh"
 #include "telemetry/telemetry.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace sbn {

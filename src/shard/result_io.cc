@@ -5,18 +5,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 
 #include "core/fingerprint.hh"
 #include "shard/fault.hh"
 #include "telemetry/telemetry.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 #include "workload/workload.hh"
 
@@ -29,26 +26,6 @@ namespace {
 // the workload serialization (the workload layer also bumped the
 // config-fingerprint version, so v1 records are doubly stale).
 constexpr const char *kRecordType = "sbn.point.v3";
-
-// Shared with configFingerprint and the analytic disk cache so the
-// decimal+bits codecs can never drift (core/fingerprint.hh).
-std::uint64_t
-doubleBits(double value)
-{
-    return doubleFingerprintBits(value);
-}
-
-double
-bitsToDouble(std::uint64_t bits)
-{
-    return doubleFromFingerprintBits(bits);
-}
-
-std::string
-formatDouble(double value)
-{
-    return formatExactDouble(value);
-}
 
 } // namespace
 
@@ -164,249 +141,48 @@ makeAdaptiveRecord(std::size_t flat_index, const SystemConfig &config,
 std::string
 formatRecord(const PointRecord &record)
 {
-    std::string out;
-    out.reserve(256);
-    out += "{\"type\":\"";
-    out += kRecordType;
-    out += "\",\"i\":";
-    out += std::to_string(record.flatIndex);
-    out += ",\"config\":\"";
-    out += formatFingerprint(record.configFp);
-    out += "\",\"run\":\"";
-    out += formatFingerprint(record.runFp);
-    out += "\",\"seed\":";
-    out += std::to_string(record.masterSeed);
-    out += ",\"mode\":\"";
-    out += runModeName(record.mode);
-    out += "\",\"workload\":\"";
-    out += record.workload;
-    out += "\",\"reps\":";
-    out += std::to_string(record.replications);
-    out += ",\"rounds\":";
-    out += std::to_string(record.rounds);
-    out += ",\"converged\":";
-    out += record.converged ? "true" : "false";
-    out += ",\"mean\":";
-    out += formatDouble(record.mean);
-    out += ",\"mean_bits\":\"";
-    out += formatFingerprint(doubleBits(record.mean));
-    out += "\",\"hw\":";
-    out += formatDouble(record.halfWidth);
-    out += ",\"hw_bits\":\"";
-    out += formatFingerprint(doubleBits(record.halfWidth));
-    out += '"';
+    FlatWriter out;
+    out.string("type", kRecordType)
+        .unsignedInt("i", record.flatIndex)
+        .string("config", formatFingerprint(record.configFp))
+        .string("run", formatFingerprint(record.runFp))
+        .unsignedInt("seed", record.masterSeed)
+        .string("mode", runModeName(record.mode))
+        .string("workload", record.workload)
+        .unsignedInt("reps", record.replications)
+        .unsignedInt("rounds", record.rounds)
+        .boolean("converged", record.converged)
+        .exactPair("mean", record.mean)
+        .exactPair("hw", record.halfWidth);
     if (record.hasLatency) {
-        const auto pair = [&](const char *key, double value) {
-            out += ",\"";
-            out += key;
-            out += "\":";
-            out += formatDouble(value);
-            out += ",\"";
-            out += key;
-            out += "_bits\":\"";
-            out += formatFingerprint(doubleBits(value));
-            out += '"';
-        };
-        out += ",\"lat_n\":";
-        out += std::to_string(record.latency.samples);
-        pair("lw50", record.latency.waitP50);
-        pair("lw90", record.latency.waitP90);
-        pair("lw99", record.latency.waitP99);
-        pair("lwmax", record.latency.waitMax);
-        pair("lr50", record.latency.residenceP50);
-        pair("lr90", record.latency.residenceP90);
-        pair("lr99", record.latency.residenceP99);
-        pair("lrmax", record.latency.residenceMax);
+        const LatencySummary &lat = record.latency;
+        out.unsignedInt("lat_n", lat.samples)
+            .exactPair("lw50", lat.waitP50)
+            .exactPair("lw90", lat.waitP90)
+            .exactPair("lw99", lat.waitP99)
+            .exactPair("lwmax", lat.waitMax)
+            .exactPair("lr50", lat.residenceP50)
+            .exactPair("lr90", lat.residenceP90)
+            .exactPair("lr99", lat.residenceP99)
+            .exactPair("lrmax", lat.residenceMax);
     }
-    out += '}';
-    return out;
+    return out.finish();
 }
-
-namespace {
-
-/** One parsed key/value of the flat record object. */
-struct RawValue
-{
-    enum class Kind
-    {
-        String,
-        Number,
-        Bool
-    };
-    Kind kind;
-    std::string text; //!< string contents / number text / "true"...
-};
-
-/**
- * Tokenize a flat one-line JSON object into key -> raw value. No
- * nesting, no escapes, no null - the record grammar is deliberately
- * tiny so validation can be airtight. Returns false + error.
- */
-bool
-tokenizeFlatObject(const std::string &line,
-                   std::map<std::string, RawValue> &out,
-                   std::string &error)
-{
-    std::size_t pos = 0;
-    const auto skipSpace = [&] {
-        while (pos < line.size() &&
-               (line[pos] == ' ' || line[pos] == '\t'))
-            ++pos;
-    };
-    const auto fail = [&](const std::string &what) {
-        error = what + " at column " + std::to_string(pos + 1);
-        return false;
-    };
-    const auto parseString = [&](std::string &text) {
-        if (pos >= line.size() || line[pos] != '"')
-            return false;
-        ++pos;
-        const std::size_t begin = pos;
-        while (pos < line.size() && line[pos] != '"') {
-            const char c = line[pos];
-            if (c == '\\' || static_cast<unsigned char>(c) < 0x20)
-                return false; // no escapes in the record grammar
-            ++pos;
-        }
-        if (pos >= line.size())
-            return false;
-        text.assign(line, begin, pos - begin);
-        ++pos;
-        return true;
-    };
-
-    skipSpace();
-    if (pos >= line.size() || line[pos] != '{')
-        return fail("expected '{'");
-    ++pos;
-
-    bool first = true;
-    for (;;) {
-        skipSpace();
-        if (pos < line.size() && line[pos] == '}') {
-            ++pos;
-            break;
-        }
-        if (!first) {
-            if (pos >= line.size() || line[pos] != ',')
-                return fail("expected ',' or '}'");
-            ++pos;
-            skipSpace();
-        }
-        first = false;
-
-        std::string key;
-        if (!parseString(key))
-            return fail("expected a string key");
-        skipSpace();
-        if (pos >= line.size() || line[pos] != ':')
-            return fail("expected ':'");
-        ++pos;
-        skipSpace();
-
-        RawValue value;
-        if (pos < line.size() && line[pos] == '"') {
-            value.kind = RawValue::Kind::String;
-            if (!parseString(value.text))
-                return fail("unterminated string value");
-        } else if (line.compare(pos, 4, "true") == 0) {
-            value.kind = RawValue::Kind::Bool;
-            value.text = "true";
-            pos += 4;
-        } else if (line.compare(pos, 5, "false") == 0) {
-            value.kind = RawValue::Kind::Bool;
-            value.text = "false";
-            pos += 5;
-        } else {
-            const std::size_t begin = pos;
-            while (pos < line.size() &&
-                   (std::isdigit(static_cast<unsigned char>(
-                        line[pos])) ||
-                    line[pos] == '-' || line[pos] == '+' ||
-                    line[pos] == '.' || line[pos] == 'e' ||
-                    line[pos] == 'E' || line[pos] == 'n' ||
-                    line[pos] == 'a' || line[pos] == 'i' ||
-                    line[pos] == 'f'))
-                ++pos; // digits plus nan/inf spellings
-            if (pos == begin)
-                return fail("expected a value");
-            value.kind = RawValue::Kind::Number;
-            value.text.assign(line, begin, pos - begin);
-        }
-
-        if (!out.emplace(key, value).second) {
-            error = "duplicate key '" + key + "'";
-            return false;
-        }
-    }
-    skipSpace();
-    if (pos != line.size()) {
-        error = "trailing characters after the record object";
-        return false;
-    }
-    return true;
-}
-
-bool
-parseUnsigned(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size() || errno == ERANGE)
-        return false;
-    out = value;
-    return true;
-}
-
-bool
-parseDecimalDouble(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size())
-        return false;
-    out = value;
-    return true;
-}
-
-} // namespace
 
 bool
 parseRecord(const std::string &line, PointRecord &out,
             std::string &error)
 {
-    std::map<std::string, RawValue> fields;
-    if (!tokenizeFlatObject(line, fields, error))
+    FlatObject fields;
+    if (!parseFlatObject(line, fields, error))
         return false;
-
-    const auto take = [&](const char *key, RawValue::Kind kind,
-                          std::string &text) {
-        const auto it = fields.find(key);
-        if (it == fields.end()) {
-            error = std::string("missing key '") + key + "'";
-            return false;
-        }
-        if (it->second.kind != kind) {
-            error = std::string("key '") + key + "' has the wrong type";
-            return false;
-        }
-        text = it->second.text;
-        fields.erase(it);
-        return true;
-    };
+    FlatReader read(fields, error);
 
     PointRecord record;
     std::string text;
+    std::uint64_t number = 0;
 
-    if (!take("type", RawValue::Kind::String, text))
+    if (!read.string("type", text))
         return false;
     if (text != kRecordType) {
         error = "unknown record type '" + text + "' (expected " +
@@ -414,36 +190,27 @@ parseRecord(const std::string &line, PointRecord &out,
         return false;
     }
 
-    std::uint64_t number;
-    if (!take("i", RawValue::Kind::Number, text))
+    if (!read.unsignedInt("i", number))
         return false;
-    if (!parseUnsigned(text, number)) {
-        error = "'i' is not an unsigned integer: " + text;
-        return false;
-    }
     record.flatIndex = static_cast<std::size_t>(number);
 
-    if (!take("config", RawValue::Kind::String, text))
+    if (!read.string("config", text))
         return false;
     if (!parseFingerprint(text, record.configFp)) {
         error = "'config' is not a 0x fingerprint: " + text;
         return false;
     }
-    if (!take("run", RawValue::Kind::String, text))
+    if (!read.string("run", text))
         return false;
     if (!parseFingerprint(text, record.runFp)) {
         error = "'run' is not a 0x fingerprint: " + text;
         return false;
     }
 
-    if (!take("seed", RawValue::Kind::Number, text))
+    if (!read.unsignedInt("seed", record.masterSeed))
         return false;
-    if (!parseUnsigned(text, record.masterSeed)) {
-        error = "'seed' is not an unsigned integer: " + text;
-        return false;
-    }
 
-    if (!take("mode", RawValue::Kind::String, text))
+    if (!read.string("mode", text))
         return false;
     if (text == "sweep") {
         record.mode = RunMode::Sweep;
@@ -454,101 +221,52 @@ parseRecord(const std::string &line, PointRecord &out,
         return false;
     }
 
-    if (!take("workload", RawValue::Kind::String, text))
+    if (!read.string("workload", record.workload))
         return false;
-    if (text.empty()) {
+    if (record.workload.empty()) {
         error = "'workload' must name the point's workload";
         return false;
     }
-    record.workload = text;
 
-    if (!take("reps", RawValue::Kind::Number, text))
+    if (!read.unsignedInt("reps", record.replications))
         return false;
-    if (!parseUnsigned(text, record.replications) ||
-        record.replications == 0) {
-        error = "'reps' must be a positive integer: " + text;
+    if (record.replications == 0) {
+        error = "'reps' must be positive";
         return false;
     }
 
-    if (!take("rounds", RawValue::Kind::Number, text))
+    if (!read.unsignedInt("rounds", number))
         return false;
-    if (!parseUnsigned(text, number) || number > 0xffffffffull) {
-        error = "'rounds' is not a valid count: " + text;
+    if (number > 0xffffffffull) {
+        error = "'rounds' is not a valid count: " + std::to_string(number);
         return false;
     }
     record.rounds = static_cast<std::uint32_t>(number);
 
-    if (!take("converged", RawValue::Kind::Bool, text))
-        return false;
-    record.converged = text == "true";
-
-    const auto takeDoublePair = [&](const char *dec_key,
-                                    const char *bits_key,
-                                    double &value) {
-        std::string dec_text, bits_text;
-        if (!take(dec_key, RawValue::Kind::Number, dec_text) ||
-            !take(bits_key, RawValue::Kind::String, bits_text))
-            return false;
-        std::uint64_t bits;
-        if (!parseFingerprint(bits_text, bits)) {
-            error = std::string("'") + bits_key +
-                    "' is not a 0x bit pattern: " + bits_text;
-            return false;
-        }
-        double decimal;
-        if (!parseDecimalDouble(dec_text, decimal)) {
-            error = std::string("'") + dec_key +
-                    "' is not a number: " + dec_text;
-            return false;
-        }
-        value = bitsToDouble(bits);
-        // The decimal is %.17g of the bits, which round-trips
-        // exactly; any mismatch means the record was edited or
-        // corrupted (NaN decimals lose their payload, so NaN==NaN is
-        // the comparison there).
-        const bool both_nan =
-            std::isnan(decimal) && std::isnan(value);
-        if (!both_nan && doubleBits(decimal) != bits) {
-            error = std::string("'") + dec_key + "' (" + dec_text +
-                    ") disagrees with '" + bits_key + "' (" +
-                    bits_text + ")";
-            return false;
-        }
-        return true;
-    };
-
-    if (!takeDoublePair("mean", "mean_bits", record.mean))
-        return false;
-    if (!takeDoublePair("hw", "hw_bits", record.halfWidth))
+    if (!read.boolean("converged", record.converged) ||
+        !read.exactPair("mean", record.mean) ||
+        !read.exactPair("hw", record.halfWidth))
         return false;
 
     // Optional latency group: lat_n's presence commits the record to
     // the full key set, so a partially written group still fails.
-    if (fields.count("lat_n") != 0) {
+    if (read.has("lat_n")) {
         record.hasLatency = true;
-        if (!take("lat_n", RawValue::Kind::Number, text))
-            return false;
-        if (!parseUnsigned(text, record.latency.samples)) {
-            error = "'lat_n' is not an unsigned integer: " + text;
-            return false;
-        }
         LatencySummary &lat = record.latency;
-        if (!takeDoublePair("lw50", "lw50_bits", lat.waitP50) ||
-            !takeDoublePair("lw90", "lw90_bits", lat.waitP90) ||
-            !takeDoublePair("lw99", "lw99_bits", lat.waitP99) ||
-            !takeDoublePair("lwmax", "lwmax_bits", lat.waitMax) ||
-            !takeDoublePair("lr50", "lr50_bits", lat.residenceP50) ||
-            !takeDoublePair("lr90", "lr90_bits", lat.residenceP90) ||
-            !takeDoublePair("lr99", "lr99_bits", lat.residenceP99) ||
-            !takeDoublePair("lrmax", "lrmax_bits", lat.residenceMax))
+        if (!read.unsignedInt("lat_n", lat.samples) ||
+            !read.exactPair("lw50", lat.waitP50) ||
+            !read.exactPair("lw90", lat.waitP90) ||
+            !read.exactPair("lw99", lat.waitP99) ||
+            !read.exactPair("lwmax", lat.waitMax) ||
+            !read.exactPair("lr50", lat.residenceP50) ||
+            !read.exactPair("lr90", lat.residenceP90) ||
+            !read.exactPair("lr99", lat.residenceP99) ||
+            !read.exactPair("lrmax", lat.residenceMax))
             return false;
     }
 
-    if (!fields.empty()) {
-        error = "unknown key '" + fields.begin()->first + "'";
+    if (!read.finish())
         return false;
-    }
-
     out = record;
     return true;
 }

@@ -118,9 +118,10 @@ std::string formatRecord(const PointRecord &record);
 
 /**
  * Parse one record line. Strict: the line must be a flat JSON object
- * carrying exactly the expected keys (any order), with types, the
- * "sbn.point.v3" type tag, a known mode, and decimal/bit double pairs
- * that agree. The lat_* latency keys are the one optional group: all
+ * (util/flatjson.hh) carrying exactly the expected keys (any order),
+ * with types, integers as plain digits, the "sbn.point.v3" type tag,
+ * a known mode, and decimal/bit double pairs that agree. The lat_*
+ * latency keys are the one optional group: all
  * present (and consistent) or all absent. On failure returns false
  * and sets @p error.
  */

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/fingerprint.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace sbn {

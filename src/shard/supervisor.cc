@@ -21,6 +21,7 @@
 #include "telemetry/telemetry.hh"
 #include "shard/result_io.hh"
 #include "util/child_wake.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -738,8 +739,8 @@ writeMissingPointsManifest(const std::string &path,
             body += ",\"shard\":";
             body += std::to_string(owner);
             body += ",\"file\":\"";
-            body += shardFilePath(check.dir,
-                                  {owner, check.shardCount});
+            appendEscaped(body, shardFilePath(check.dir,
+                                              {owner, check.shardCount}));
             body += '"';
         }
         body += '}';

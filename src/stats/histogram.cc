@@ -5,7 +5,7 @@
 #include <limits>
 #include <sstream>
 
-#include "core/fingerprint.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -164,26 +164,26 @@ Histogram::render(std::size_t width) const
 std::string
 Histogram::renderFlatJson() const
 {
-    std::ostringstream os;
-    os << "{\"type\":\"sbn.hist.v1\",\"scale\":\""
-       << (scale_ == HistogramScale::Log ? "log" : "linear")
-       << "\",\"lo\":" << formatExactDouble(lo_)
-       << ",\"hi\":" << formatExactDouble(hi_)
-       << ",\"bins\":" << bins_.size() << ",\"count\":" << count_
-       << ",\"underflow\":" << underflow_
-       << ",\"overflow\":" << overflow_
-       << ",\"sum\":" << formatExactDouble(sum_) << ",\"counts\":\"";
-    bool first = true;
+    std::string counts;
     for (std::size_t i = 0; i < bins_.size(); ++i) {
         if (!bins_[i])
             continue;
-        if (!first)
-            os << ' ';
-        os << i << ':' << bins_[i];
-        first = false;
+        if (!counts.empty())
+            counts += ' ';
+        counts += std::to_string(i) + ':' + std::to_string(bins_[i]);
     }
-    os << "\"}";
-    return os.str();
+    return FlatWriter()
+        .string("type", "sbn.hist.v1")
+        .string("scale", scale_ == HistogramScale::Log ? "log" : "linear")
+        .exact("lo", lo_)
+        .exact("hi", hi_)
+        .unsignedInt("bins", bins_.size())
+        .unsignedInt("count", count_)
+        .unsignedInt("underflow", underflow_)
+        .unsignedInt("overflow", overflow_)
+        .exact("sum", sum_)
+        .string("counts", counts)
+        .finish();
 }
 
 void

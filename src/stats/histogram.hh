@@ -103,8 +103,8 @@ class Histogram
     std::string render(std::size_t width = 50) const;
 
     /**
-     * One-line flat JSON rendering (sbn.hist.v1) that
-     * parseFlatJsonObject round-trips. Key order is fixed and doubles
+     * One-line flat JSON rendering (sbn.hist.v1) through the one
+     * flat-JSON codec (util/flatjson.hh). Key order is fixed and doubles
      * use the canonical exact %.17g form, so two histograms holding
      * the same samples render byte-identically. Bin counts are a
      * sparse "index:count" list; empty bins are omitted.

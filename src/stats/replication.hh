@@ -3,9 +3,9 @@
  * Independent-replications estimator.
  *
  * Runs a seeded experiment K times with derived seeds and reports a
- * Student-t confidence interval across the replication results. This
- * complements BatchMeans: replications remove initialization bias
- * concerns at the cost of repeated warmups.
+ * Student-t confidence interval across the replication results.
+ * Replications remove initialization bias concerns at the cost of
+ * repeated warmups.
  */
 
 #ifndef SBN_STATS_REPLICATION_HH
@@ -15,7 +15,7 @@
 #include <functional>
 #include <vector>
 
-#include "stats/batch_means.hh"
+#include "stats/accumulator.hh"
 #include "util/random.hh"
 
 namespace sbn {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <mutex>
 
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -205,27 +206,18 @@ std::string
 formatTelemetrySnapshot(const TelemetrySnapshot &snapshot,
                         bool include_timers)
 {
-    std::string out = "{\"type\":\"sbn.telemetry.v1\"";
-    for (unsigned i = 0; i < kTelemetryCounterCount; ++i) {
-        out += ",\"";
-        out += kCounterNames[i];
-        out += "\":";
-        out += std::to_string(snapshot.counters[i]);
-    }
+    FlatWriter out;
+    out.string("type", "sbn.telemetry.v1");
+    for (unsigned i = 0; i < kTelemetryCounterCount; ++i)
+        out.unsignedInt(kCounterNames[i], snapshot.counters[i]);
     if (include_timers) {
         for (unsigned i = 0; i < kTelemetryTimerCount; ++i) {
-            out += ",\"";
-            out += kTimerNames[i];
-            out += "_ns\":";
-            out += std::to_string(snapshot.timerNs[i]);
-            out += ",\"";
-            out += kTimerNames[i];
-            out += "_count\":";
-            out += std::to_string(snapshot.timerCount[i]);
+            const std::string name = kTimerNames[i];
+            out.unsignedInt(name + "_ns", snapshot.timerNs[i])
+                .unsignedInt(name + "_count", snapshot.timerCount[i]);
         }
     }
-    out += '}';
-    return out;
+    return out.finish();
 }
 
 void

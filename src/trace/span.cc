@@ -11,6 +11,7 @@
 #include <mutex>
 
 #include "core/fingerprint.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -61,32 +62,6 @@ nextSpanId()
     while (id == 0)
         id = fingerprintMix(salt, ++counter);
     return id;
-}
-
-/** JSON string escaping for span names and attribute values. */
-std::string
-escapeJson(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /**
@@ -153,8 +128,19 @@ writer()
     return instance;
 }
 
+} // namespace
+
+std::string
+formatTraceId(std::uint64_t id)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(id));
+    return buf;
+}
+
 bool
-parseHex64(const std::string &text, std::uint64_t &out)
+parseTraceId(const std::string &text, std::uint64_t &out)
 {
     if (text.empty() || text.size() > 16 ||
         text.find_first_not_of("0123456789abcdef") != std::string::npos)
@@ -162,17 +148,6 @@ parseHex64(const std::string &text, std::uint64_t &out)
     out = std::strtoull(text.c_str(), nullptr, 16);
     return true;
 }
-
-std::string
-formatHex64(std::uint64_t value)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buf;
-}
-
-} // namespace
 
 bool
 traceEnabled()
@@ -214,7 +189,7 @@ inheritedTraceContext()
 std::string
 formatTraceContext(const TraceContext &ctx)
 {
-    return formatHex64(ctx.traceId) + ":" + formatHex64(ctx.spanId);
+    return formatTraceId(ctx.traceId) + ":" + formatTraceId(ctx.spanId);
 }
 
 bool
@@ -224,8 +199,8 @@ parseTraceContext(const std::string &text, TraceContext &out)
     if (colon == std::string::npos)
         return false;
     std::uint64_t trace = 0, span = 0;
-    if (!parseHex64(text.substr(0, colon), trace) ||
-        !parseHex64(text.substr(colon + 1), span) || trace == 0)
+    if (!parseTraceId(text.substr(0, colon), trace) ||
+        !parseTraceId(text.substr(colon + 1), span) || trace == 0)
         return false;
     out.traceId = trace;
     out.spanId = span;
@@ -275,33 +250,19 @@ traceEmitSpanWithId(const TraceContext &trace, std::uint64_t span,
 {
     if (!traceEnabled() || span == 0)
         return;
-    std::string line;
-    line.reserve(256);
-    line += "{\"type\":\"sbn.trace.v1\",\"trace\":\"";
-    line += formatHex64(trace.traceId);
-    line += "\",\"span\":\"";
-    line += formatHex64(span);
-    line += "\",\"parent\":\"";
-    line += formatHex64(parent);
-    line += "\",\"kind\":\"";
-    line += escapeJson(kind);
-    line += "\",\"name\":\"";
-    line += escapeJson(name);
-    line += "\",\"pid\":";
-    line += std::to_string(::getpid());
-    line += ",\"start_us\":";
-    line += std::to_string(start_us);
-    line += ",\"end_us\":";
-    line += std::to_string(end_us);
-    for (const TraceAttr &attr : attrs) {
-        line += ",\"a_";
-        line += escapeJson(attr.first);
-        line += "\":\"";
-        line += escapeJson(attr.second);
-        line += '"';
-    }
-    line += "}\n";
-    writer().write(line);
+    FlatWriter line;
+    line.string("type", "sbn.trace.v1")
+        .string("trace", formatTraceId(trace.traceId))
+        .string("span", formatTraceId(span))
+        .string("parent", formatTraceId(parent))
+        .string("kind", kind)
+        .string("name", name)
+        .integer("pid", ::getpid())
+        .unsignedInt("start_us", start_us)
+        .unsignedInt("end_us", end_us);
+    for (const TraceAttr &attr : attrs)
+        line.string("a_" + attr.first, attr.second);
+    writer().write(line.finish() + "\n");
 }
 
 } // namespace sbn

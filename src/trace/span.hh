@@ -96,6 +96,13 @@ void exportTraceContext(const TraceContext &ctx);
  */
 std::uint64_t newTraceId();
 
+/** A trace or span id as written in span lines: 16 lowercase hex
+ *  digits, no prefix. */
+std::string formatTraceId(std::uint64_t id);
+
+/** Parse 1-16 lowercase hex digits back; false on anything else. */
+bool parseTraceId(const std::string &text, std::uint64_t &out);
+
 /** One "key":"value" span attribute (values JSON-escaped on write). */
 using TraceAttr = std::pair<std::string, std::string>;
 

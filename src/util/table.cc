@@ -33,7 +33,7 @@ TextTable::addNumericRow(const std::string &label,
     row.reserve(values.size() + 1);
     row.push_back(label);
     for (double v : values)
-        row.push_back(formatNumber(v, precision));
+        row.push_back(formatFixed(v, precision));
     addRow(std::move(row));
 }
 
@@ -44,7 +44,7 @@ TextTable::addSeparator()
 }
 
 std::string
-TextTable::formatNumber(double value, int precision)
+TextTable::formatFixed(double value, int precision)
 {
     std::ostringstream os;
     os << std::fixed << std::setprecision(precision) << value;

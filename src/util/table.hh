@@ -57,7 +57,7 @@ class TextTable
     void printCsv(std::ostream &os) const;
 
     /** Format a double to fixed precision. */
-    static std::string formatNumber(double value, int precision = 3);
+    static std::string formatFixed(double value, int precision = 3);
 
   private:
     std::string title_;

@@ -12,6 +12,7 @@
 #include "analytic/memprio.hh"
 #include "core/fingerprint.hh"
 #include "util/combinatorics.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -166,7 +167,7 @@ weightedChainFingerprint(int n, int m, int cap,
     state = fingerprintMix(state, static_cast<std::uint64_t>(cap));
     state = fingerprintMix(state, q.size());
     for (double qj : q)
-        state = fingerprintMix(state, doubleFingerprintBits(qj));
+        state = fingerprintMix(state, doubleBits(qj));
     return state;
 }
 

@@ -4,20 +4,10 @@
 #include <cstdio>
 
 #include "core/fingerprint.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace sbn {
-
-namespace {
-
-/** The shared canonical %.17g form (core/fingerprint.hh). */
-std::string
-exactDouble(double value)
-{
-    return formatExactDouble(value);
-}
-
-} // namespace
 
 const char *
 referencePatternName(ReferencePattern pattern)
@@ -140,18 +130,18 @@ formatWorkload(const WorkloadConfig &workload)
     case ReferencePattern::Uniform:
         break;
     case ReferencePattern::HotSpot:
-        out += ":h=" + exactDouble(workload.hotFraction) +
+        out += ":h=" + formatExactDouble(workload.hotFraction) +
                ",module=" + std::to_string(workload.hotModule);
         break;
     case ReferencePattern::Favorite:
-        out += ":f=" + exactDouble(workload.favoriteFraction);
+        out += ":f=" + formatExactDouble(workload.favoriteFraction);
         break;
     case ReferencePattern::Weighted:
         out += ":w=";
         for (std::size_t i = 0; i < workload.moduleWeights.size(); ++i) {
             if (i > 0)
                 out += ',';
-            out += exactDouble(workload.moduleWeights[i]);
+            out += formatExactDouble(workload.moduleWeights[i]);
         }
         break;
     }
@@ -161,8 +151,8 @@ formatWorkload(const WorkloadConfig &workload)
         break;
     case ThinkModel::TwoClass:
         out += ";think=two:fast=" + std::to_string(workload.fastCount) +
-               "@" + exactDouble(workload.fastProbability) +
-               ",slow=" + exactDouble(workload.slowProbability);
+               "@" + formatExactDouble(workload.fastProbability) +
+               ",slow=" + formatExactDouble(workload.slowProbability);
         break;
     case ThinkModel::PerProcessor:
         out += ";think=vec:";
@@ -170,7 +160,7 @@ formatWorkload(const WorkloadConfig &workload)
              i < workload.thinkProbabilities.size(); ++i) {
             if (i > 0)
                 out += ',';
-            out += exactDouble(workload.thinkProbabilities[i]);
+            out += formatExactDouble(workload.thinkProbabilities[i]);
         }
         break;
     }
@@ -184,25 +174,25 @@ mixWorkloadFingerprint(std::uint64_t state,
     state = fingerprintMix(
         state, static_cast<std::uint64_t>(workload.pattern));
     state = fingerprintMix(state,
-                           doubleFingerprintBits(workload.hotFraction));
+                           doubleBits(workload.hotFraction));
     state = fingerprintMix(
         state, static_cast<std::uint64_t>(workload.hotModule));
     state = fingerprintMix(
-        state, doubleFingerprintBits(workload.favoriteFraction));
+        state, doubleBits(workload.favoriteFraction));
     state = fingerprintMix(state, workload.moduleWeights.size());
     for (double w : workload.moduleWeights)
-        state = fingerprintMix(state, doubleFingerprintBits(w));
+        state = fingerprintMix(state, doubleBits(w));
     state =
         fingerprintMix(state, static_cast<std::uint64_t>(workload.think));
     state = fingerprintMix(
         state, static_cast<std::uint64_t>(workload.fastCount));
     state = fingerprintMix(
-        state, doubleFingerprintBits(workload.fastProbability));
+        state, doubleBits(workload.fastProbability));
     state = fingerprintMix(
-        state, doubleFingerprintBits(workload.slowProbability));
+        state, doubleBits(workload.slowProbability));
     state = fingerprintMix(state, workload.thinkProbabilities.size());
     for (double p : workload.thinkProbabilities)
-        state = fingerprintMix(state, doubleFingerprintBits(p));
+        state = fingerprintMix(state, doubleBits(p));
     return state;
 }
 

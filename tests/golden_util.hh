@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "core/fingerprint.hh"
+#include "util/flatjson.hh"
 
 #ifndef SBN_GOLDEN_DIR
 #error "SBN_GOLDEN_DIR must point at the tests/golden source directory"

@@ -7,6 +7,9 @@
  * its reader make together. A pin can, and that kind of drift would
  * orphan existing journals and shard records. Each pin must also
  * parse, and its fields must re-render to the pin's own bytes.
+ *
+ * The codec's own tests follow the pins, ending with a seeded
+ * mutation test that feeds byte-mutated pins to every parser.
  */
 
 #include <gtest/gtest.h>
@@ -17,11 +20,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "desim/trace.hh"
+#include "service/client.hh"
 #include "service/daemon.hh"
 #include "service/journal.hh"
 #include "service/metrics.hh"
@@ -30,6 +35,7 @@
 #include "stats/histogram.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/span.hh"
+#include "util/flatjson.hh"
 
 namespace sbn {
 namespace {
@@ -296,24 +302,6 @@ const char *const kTraceSinkPin =
 
 // ---------------------------------------------------- the checks
 
-/** One parsed field rendered back to its `"key":value` bytes. */
-std::string
-renderField(const std::string &key, const JsonScalar &value)
-{
-    std::string out = "\"" + jsonEscape(key) + "\":";
-    switch (value.kind) {
-    case JsonScalar::Kind::String:
-        return out + "\"" + jsonEscape(value.text) + "\"";
-    case JsonScalar::Kind::Number:
-        return out + value.text;
-    case JsonScalar::Kind::Bool:
-        return out + (value.boolean ? "true" : "false");
-    case JsonScalar::Kind::Null:
-        return out + "null";
-    }
-    return out;
-}
-
 /**
  * @p line parses, and its fields re-render to its own bytes: every
  * field's rendering occurs in the line, and together with the braces
@@ -322,13 +310,14 @@ renderField(const std::string &key, const JsonScalar &value)
 void
 expectFieldsReRender(const std::string &line)
 {
-    JsonObject object;
+    FlatObject object;
     std::string error;
-    ASSERT_TRUE(parseFlatJsonObject(line, object, error))
+    ASSERT_TRUE(parseFlatObject(line, object, error))
         << error << ": " << line;
     std::size_t covered = object.empty() ? 2 : object.size() + 1;
-    for (const auto &pair : object) {
-        const std::string field = renderField(pair.first, pair.second);
+    for (const auto &[key, value] : object) {
+        std::string field = renderFlatObject({{key, value}});
+        field = field.substr(1, field.size() - 2);
         EXPECT_NE(line.find(field), std::string::npos)
             << field << " in " << line;
         covered += field.size();
@@ -336,9 +325,7 @@ expectFieldsReRender(const std::string &line)
     EXPECT_EQ(covered, line.size()) << line;
 }
 
-/** The writer emits @p pin, and the pin re-renders to itself. The
- *  formats with a reader of their own (records, journal, requests)
- *  re-render through that reader instead. */
+/** The writer emits @p pin, and the pin re-renders to itself. */
 void
 expectPinned(const std::string &written, const char *pin)
 {
@@ -346,12 +333,22 @@ expectPinned(const std::string &written, const char *pin)
     expectFieldsReRender(pin);
 }
 
+/** @p line as the client sees a daemon reply. */
+ClientResponse
+reply(const std::string &line)
+{
+    ClientResponse response;
+    std::string error;
+    EXPECT_TRUE(parseFlatObject(line, response.fields, error)) << error;
+    return response;
+}
+
 TEST(WirePins, PointRecords)
 {
     for (const auto &[record, pin] :
          {std::pair{adaptiveRecord(), kAdaptiveRecordPin},
           std::pair{latencyRecord(), kLatencyRecordPin}}) {
-        EXPECT_EQ(formatRecord(record), pin);
+        expectPinned(formatRecord(record), pin);
         PointRecord parsed;
         std::string error;
         ASSERT_TRUE(parseRecord(pin, parsed, error)) << error;
@@ -362,7 +359,7 @@ TEST(WirePins, PointRecords)
 
 TEST(WirePins, JournalEntry)
 {
-    EXPECT_EQ(formatJournalEntry(journalEntry()), kJournalPin);
+    expectPinned(formatJournalEntry(journalEntry()), kJournalPin);
     JobJournalEntry parsed;
     std::string error;
     ASSERT_TRUE(parseJournalEntry(kJournalPin, parsed, error)) << error;
@@ -390,7 +387,7 @@ TEST(WirePins, EveryRequestKind)
         {request(RequestKind::Metrics, true, 0), kMetricsJobPin},
     };
     for (const auto &[original, pin] : cases) {
-        EXPECT_EQ(formatRequest(original), pin);
+        expectPinned(formatRequest(original), pin);
         Request parsed;
         std::string error;
         ASSERT_TRUE(parseRequest(pin, parsed, error)) << error;
@@ -400,9 +397,16 @@ TEST(WirePins, EveryRequestKind)
 
 TEST(WirePins, DaemonReplies)
 {
-    expectPinned(errorResponse("bad_spec", "spec \"--n=x\" is not C:\\ok"),
-                 kErrorPin);
+    const std::string message = "spec \"--n=x\" is not C:\\ok";
+    expectPinned(errorResponse("bad_spec", message), kErrorPin);
+    EXPECT_EQ(reply(kErrorPin).errorCode(), "bad_spec");
+    EXPECT_EQ(reply(kErrorPin).text("message"), message);
     expectPinned(jobStatusLine(journalEntry()), kStatusLinePin);
+    const ClientResponse status = reply(kStatusLinePin);
+    EXPECT_TRUE(status.ok());
+    EXPECT_EQ(status.number("job"), 7u);
+    EXPECT_EQ(status.number("exit"), 75u);
+    EXPECT_EQ(status.text("reason"), journalEntry().reason);
     expectPinned(formatDaemonMetricsResponse(metrics()),
                  kMetricsReplyPin);
     DaemonMetricsSnapshot idle = metrics();
@@ -431,6 +435,296 @@ TEST(WirePins, TraceLines)
 {
     expectPinned(spanLine(), kSpanPin);
     expectPinned(traceSinkLine(), kTraceSinkPin);
+}
+
+// -------------------------------------------------------- the codec
+
+TEST(FlatJson, ParsesScalarsStrictly)
+{
+    FlatObject object;
+    std::string error;
+    ASSERT_TRUE(parseFlatObject(
+        "{\"s\":\"a b\",\"n\":-2.5,\"t\":true,\"f\":false,"
+        "\"z\":null}",
+        object, error))
+        << error;
+    EXPECT_EQ(object.size(), 5u);
+    FlatReader read(object, error);
+    std::string text;
+    double number = 0;
+    bool yes = false, no = true;
+    EXPECT_TRUE(read.string("s", text));
+    EXPECT_EQ(text, "a b");
+    EXPECT_TRUE(read.finiteDouble("n", number));
+    EXPECT_DOUBLE_EQ(number, -2.5);
+    EXPECT_TRUE(read.boolean("t", yes));
+    EXPECT_TRUE(yes);
+    EXPECT_TRUE(read.boolean("f", no));
+    EXPECT_FALSE(no);
+    EXPECT_EQ(object["z"].kind, FlatValue::Kind::Null);
+
+    ASSERT_TRUE(parseFlatObject("{}", object, error)) << error;
+    EXPECT_TRUE(object.empty());
+
+    // Spaces and tabs between tokens, as json.dumps writes them.
+    ASSERT_TRUE(parseFlatObject(" {\t\"a\" : 1 , \"b\": \"x\" } ",
+                                object, error))
+        << error;
+    EXPECT_EQ(renderFlatObject(object), "{\"a\":1,\"b\":\"x\"}");
+
+    // The four spellings %.17g prints for non-finite doubles lex as
+    // numbers; only a reader that wants them accepts them.
+    ASSERT_TRUE(parseFlatObject(
+        "{\"a\":nan,\"b\":-nan,\"c\":inf,\"d\":-inf}", object, error))
+        << error;
+    for (const char *key : {"a", "b", "c", "d"}) {
+        EXPECT_EQ(object[key].kind, FlatValue::Kind::Number);
+        EXPECT_FALSE(FlatReader(object, error).finiteDouble(key, number));
+    }
+}
+
+TEST(FlatJson, RejectsWhatTheProtocolForbids)
+{
+    FlatObject object;
+    std::string error;
+    const std::string long_integer = "1" + std::string(400, '0');
+    const std::string bad[] = {
+        "",                           // not an object
+        "[1,2]",                      // not an object
+        "{\"a\":1} trailing",         // trailing bytes
+        "{\"a\":1,\"a\":2}",          // duplicate key
+        "{\"a\":{\"b\":1}}",          // nesting
+        "{\"a\":[1]}",                // nesting
+        "{\"a\":nope}",               // malformed literal
+        "{\"a\":1e999}",              // non-finite number
+        "{\"a\":\"unterminated",      // unterminated string
+        "{\"a\":\"bad\\qescape\"}",   // unsupported escape
+        "{\"a\" 1}",                  // missing colon
+        "{\"a\":1 \"b\":2}",          // missing comma
+        "{\"a\":-1e400}",             // overflows a double
+        "{\"a\":" + long_integer + "}", // overflows a double
+        "{\"a\":01}",                 // leading zero
+        "{\"a\":+1}",                 // not JSON number grammar
+        "{\"a\":.5}",                 // not JSON number grammar
+        "{\"a\":1.}",                 // not JSON number grammar
+        "{\"a\":1e}",                 // not JSON number grammar
+        "{\"a\":0x10}",               // not JSON number grammar
+        "{\"a\":infinity}",           // not a %.17g spelling
+        "{\"a\":1,}",                 // trailing comma
+        "{\"a\":1}\r",                // carriage return
+        "{\"a\":\"\\/\"}",            // an escape nothing writes
+        "{\"a\":\"\\u000a\"}",        // \n has a short escape
+        "{\"a\":\"\\u0041\"}",        // not a control character
+        "{\"a\":\"\\u001F\"}",        // uppercase hex
+        "{\"a\":\"raw\x01\"}",        // raw control character
+    };
+    for (const std::string &text : bad) {
+        EXPECT_FALSE(parseFlatObject(text, object, error)) << text;
+        EXPECT_FALSE(error.empty()) << text;
+    }
+}
+
+TEST(FlatJson, EscapeRoundTrips)
+{
+    const std::string nasty = "a\"b\\c\nd\te\rf/g\x01h\x1fi\x7fj";
+    std::string escaped;
+    appendEscaped(escaped, nasty);
+    EXPECT_EQ(escaped, "a\\\"b\\\\c\\nd\\te\\rf/g\\u0001h\\u001fi\x7fj");
+    FlatObject object;
+    std::string error;
+    ASSERT_TRUE(parseFlatObject("{\"k\":\"" + escaped + "\"}", object,
+                                error))
+        << error;
+    EXPECT_EQ(object["k"].text, nasty);
+    EXPECT_EQ(renderFlatObject(object), "{\"k\":\"" + escaped + "\"}");
+}
+
+TEST(FlatJson, TypedReadersAreExact)
+{
+    FlatObject object;
+    std::string error;
+    ASSERT_TRUE(parseFlatObject(
+        "{\"max\":18446744073709551615,\"over\":18446744073709551616,"
+        "\"odd\":9007199254740993,\"real\":3.0,\"big\":1e300,"
+        "\"neg\":-1,\"tiny\":1e-400,\"s\":\"7\"}",
+        object, error))
+        << error;
+    FlatReader read(object, error);
+    std::uint64_t n = 0;
+    EXPECT_TRUE(read.unsignedInt("max", n));
+    EXPECT_EQ(n, 18446744073709551615ull);
+    EXPECT_TRUE(read.unsignedInt("odd", n));
+    EXPECT_EQ(n, 9007199254740993ull); // a double would round it
+    for (const char *key : {"over", "real", "big", "neg", "s"}) {
+        n = 0;
+        EXPECT_FALSE(read.unsignedInt(key, n)) << key;
+        EXPECT_EQ(n, 0u) << key;
+        EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
+    double x = 1;
+    EXPECT_TRUE(read.finiteDouble("tiny", x)); // underflow is finite
+    EXPECT_EQ(x, 0.0);
+    EXPECT_FALSE(read.string("missing", error));
+
+    // finish() names a key that no read asked for.
+    FlatReader partial(object, error);
+    EXPECT_TRUE(partial.unsignedInt("max", n));
+    EXPECT_FALSE(partial.finish());
+    EXPECT_NE(error.find("\"big\""), std::string::npos) << error;
+}
+
+TEST(FlatJson, ExactPairsCheckTheDecimalAgainstTheBits)
+{
+    const double values[] = {0.1, -0.0, 5e-324, 1.7976931348623157e308,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::quiet_NaN()};
+    for (const double value : values) {
+        const std::string line = FlatWriter().exactPair("v", value).finish();
+        FlatObject object;
+        std::string error;
+        ASSERT_TRUE(parseFlatObject(line, object, error)) << error;
+        double back = 0;
+        FlatReader read(object, error);
+        ASSERT_TRUE(read.exactPair("v", back)) << error;
+        EXPECT_TRUE(read.finish()) << error;
+        EXPECT_EQ(doubleBits(back), doubleBits(value)) << line;
+    }
+    double out = 0;
+    EXPECT_EQ(checkExactDouble("0.5", formatFingerprint(doubleBits(0.5)),
+                               out),
+              nullptr);
+    EXPECT_EQ(out, 0.5);
+    EXPECT_NE(checkExactDouble("0.25", formatFingerprint(doubleBits(0.5)),
+                               out),
+              nullptr);
+    EXPECT_NE(checkExactDouble("0.5", "0x3fe", out), nullptr);
+    EXPECT_NE(checkExactDouble("0.5x", formatFingerprint(doubleBits(0.5)),
+                               out),
+              nullptr);
+}
+
+/** Every pin: the corpus the mutation test starts from. */
+std::vector<std::string>
+allPins()
+{
+    return {kAdaptiveRecordPin, kLatencyRecordPin, kJournalPin,
+            kSubmitPin,         kSubmitNoTimeoutPin, kStatusPin,
+            kStatusJobPin,      kCancelPin,          kResultsPin,
+            kWaitPin,           kDrainPin,           kMetricsPin,
+            kMetricsJobPin,     kErrorPin,           kStatusLinePin,
+            kMetricsReplyPin,   kIdleMetricsReplyPin, kHeartbeatPin,
+            kTelemetryPin,      kCountersOnlyPin,    kHistogramPin,
+            kSpanPin,           kTraceSinkPin};
+}
+
+/** One random byte edit of @p line: flip, insert, delete, truncate
+ *  or splice in a piece of another pin. */
+void
+mutate(std::string &line, std::mt19937_64 &rng,
+       const std::vector<std::string> &pins)
+{
+    // Bytes the grammar cares about, plus a few it must refuse.
+    static const std::string alphabet =
+        "{}[]:,\"\\ \t0123456789.eE+-nafiltrsu_x\x01\x1f\x7f\xc3";
+    const auto below = [&](std::size_t n) {
+        return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
+    };
+    const std::size_t at = below(line.size() + 1);
+    switch (rng() % 5) {
+    case 0:
+        if (at < line.size())
+            line[at] = static_cast<char>(line[at] ^ (1 << below(8)));
+        break;
+    case 1:
+        line.insert(at, 1, alphabet[below(alphabet.size())]);
+        break;
+    case 2:
+        if (at < line.size())
+            line.erase(at, 1);
+        break;
+    case 3:
+        line.resize(at);
+        break;
+    default: {
+        const std::string &donor = pins[below(pins.size())];
+        const std::size_t from = below(donor.size());
+        const std::size_t length = 1 + below(12);
+        line.replace(at, below(4), donor.substr(from, length));
+    }
+    }
+}
+
+/** What the codec and every format parser must do with any input. */
+struct MutantCheck
+{
+    std::size_t codec = 0, records = 0, journal = 0, requests = 0;
+
+    void operator()(const std::string &line)
+    {
+        std::string error;
+        FlatObject object;
+        if (parseFlatObject(line, object, error)) {
+            ++codec;
+            const std::string once = renderFlatObject(object);
+            FlatObject again;
+            ASSERT_TRUE(parseFlatObject(once, again, error))
+                << error << ": " << once;
+            ASSERT_EQ(renderFlatObject(again), once) << line;
+            ClientResponse response;
+            response.fields = object;
+            (void)response.ok();
+            (void)response.errorCode();
+            (void)response.number("job");
+        }
+        PointRecord record;
+        if (parseRecord(line, record, error)) {
+            ++records;
+            const std::string once = formatRecord(record);
+            PointRecord again;
+            ASSERT_TRUE(parseRecord(once, again, error)) << error;
+            ASSERT_EQ(formatRecord(again), once) << line;
+            ASSERT_TRUE(again.bitIdentical(record)) << line;
+        }
+        JobJournalEntry entry;
+        if (parseJournalEntry(line, entry, error)) {
+            ++journal;
+            const std::string once = formatJournalEntry(entry);
+            JobJournalEntry again;
+            ASSERT_TRUE(parseJournalEntry(once, again, error)) << error;
+            ASSERT_EQ(formatJournalEntry(again), once) << line;
+        }
+        Request request;
+        if (parseRequest(line, request, error)) {
+            ++requests;
+            const std::string once = formatRequest(request);
+            Request again;
+            ASSERT_TRUE(parseRequest(once, again, error)) << error;
+            ASSERT_EQ(formatRequest(again), once) << line;
+        }
+    }
+};
+
+TEST(FlatJson, MutatedPinsNeverCrashAndReachAFixedPoint)
+{
+    const std::vector<std::string> pins = allPins();
+    std::mt19937_64 rng(0x5eed5b1);
+    MutantCheck check;
+    constexpr int kMutants = 20000;
+    for (int i = 0; i < kMutants; ++i) {
+        std::string line = pins[rng() % pins.size()];
+        for (int edits = 1 + static_cast<int>(rng() % 3); edits > 0;
+             --edits)
+            mutate(line, rng, pins);
+        check(line);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    // The corpus must keep exercising every accept path, or the
+    // fixed-point checks above check nothing.
+    EXPECT_GT(check.codec, kMutants / 10u);
+    EXPECT_GT(check.records, 15u);
+    EXPECT_GT(check.journal, 40u);
+    EXPECT_GT(check.requests, 150u);
 }
 
 } // namespace

@@ -40,6 +40,7 @@
 #include "shard/fault.hh"
 #include "shard/result_io.hh"
 #include "util/exit_codes.hh"
+#include "util/flatjson.hh"
 
 namespace sbn {
 namespace {
@@ -51,66 +52,6 @@ tempPath(const std::string &name)
         ::testing::TempDir() + "sbn_service_" + name;
     std::remove(path.c_str());
     return path;
-}
-
-// ------------------------------------------------------ flat JSON
-
-TEST(FlatJson, ParsesScalarsStrictly)
-{
-    JsonObject object;
-    std::string error;
-    ASSERT_TRUE(parseFlatJsonObject(
-        "{\"s\":\"a b\",\"n\":-2.5,\"t\":true,\"f\":false,"
-        "\"z\":null}",
-        object, error))
-        << error;
-    EXPECT_EQ(object.size(), 5u);
-    EXPECT_EQ(object["s"].kind, JsonScalar::Kind::String);
-    EXPECT_EQ(object["s"].text, "a b");
-    EXPECT_EQ(object["n"].kind, JsonScalar::Kind::Number);
-    EXPECT_DOUBLE_EQ(object["n"].number, -2.5);
-    EXPECT_TRUE(object["t"].boolean);
-    EXPECT_FALSE(object["f"].boolean);
-    EXPECT_EQ(object["z"].kind, JsonScalar::Kind::Null);
-
-    ASSERT_TRUE(parseFlatJsonObject("{}", object, error)) << error;
-    EXPECT_TRUE(object.empty());
-}
-
-TEST(FlatJson, RejectsWhatTheProtocolForbids)
-{
-    JsonObject object;
-    std::string error;
-    const char *bad[] = {
-        "",                           // not an object
-        "[1,2]",                      // not an object
-        "{\"a\":1} trailing",         // trailing bytes
-        "{\"a\":1,\"a\":2}",          // duplicate key
-        "{\"a\":{\"b\":1}}",          // nesting
-        "{\"a\":[1]}",                // nesting
-        "{\"a\":nope}",               // malformed literal
-        "{\"a\":1e999}",              // non-finite number
-        "{\"a\":\"unterminated",      // unterminated string
-        "{\"a\":\"bad\\qescape\"}",   // unsupported escape
-        "{\"a\" 1}",                  // missing colon
-        "{\"a\":1 \"b\":2}",          // missing comma
-    };
-    for (const char *text : bad) {
-        EXPECT_FALSE(parseFlatJsonObject(text, object, error))
-            << text;
-        EXPECT_FALSE(error.empty()) << text;
-    }
-}
-
-TEST(FlatJson, EscapeRoundTrips)
-{
-    const std::string nasty = "a\"b\\c\nd\te\rf/g";
-    JsonObject object;
-    std::string error;
-    ASSERT_TRUE(parseFlatJsonObject(
-        "{\"k\":\"" + jsonEscape(nasty) + "\"}", object, error))
-        << error;
-    EXPECT_EQ(object["k"].text, nasty);
 }
 
 // ------------------------------------------------------- requests
@@ -135,7 +76,13 @@ TEST(Protocol, RequestRoundTrips)
     wait.hasJob = true;
     wait.job = 7;
 
-    for (const Request &original : {submit, results, drain, wait}) {
+    // 2^53 + 1: the first id a double cannot hold.
+    Request status;
+    status.kind = RequestKind::Status;
+    status.hasJob = true;
+    status.job = 9007199254740993ull;
+
+    for (const Request &original : {submit, results, drain, wait, status}) {
         Request parsed;
         std::string error;
         ASSERT_TRUE(
@@ -168,6 +115,11 @@ TEST(Protocol, RejectsMalformedRequests)
         "{\"cmd\":\"wait\"}",                 // wait without job
         "{\"cmd\":\"wait\",\"job\":-1}",      // negative job
         "{\"cmd\":\"wait\",\"job\":1,\"x\":1}", // extra key
+        "{\"cmd\":\"cancel\",\"job\":1e300}",  // not an integer
+        "{\"cmd\":\"cancel\",\"job\":18446744073709551616}", // 2^64
+        "{\"cmd\":\"results\",\"job\":3.0}",   // not plain digits
+        "{\"cmd\":\"submit\",\"spec\":\"--n=8\",\"timeout_s\":nan}",
+        "{\"cmd\":\"submit\",\"spec\":\"--n=8\",\"timeout_s\":inf}",
     };
     for (const char *text : bad) {
         EXPECT_FALSE(parseRequest(text, request, error)) << text;
@@ -177,13 +129,13 @@ TEST(Protocol, RejectsMalformedRequests)
 
 TEST(Protocol, ErrorResponsesAreMachineReadable)
 {
-    JsonObject object;
+    FlatObject object;
     std::string error;
-    ASSERT_TRUE(parseFlatJsonObject(
+    ASSERT_TRUE(parseFlatObject(
         errorResponse("queue_full", "limit is 8"), object, error))
         << error;
-    EXPECT_EQ(object["ok"].kind, JsonScalar::Kind::Bool);
-    EXPECT_FALSE(object["ok"].boolean);
+    EXPECT_EQ(object["ok"].kind, FlatValue::Kind::Bool);
+    EXPECT_EQ(object["ok"].text, "false");
     EXPECT_EQ(object["error"].text, "queue_full");
     EXPECT_EQ(object["message"].text, "limit is 8");
 }
@@ -237,6 +189,13 @@ TEST(JobJournalFormat, RejectsForeignAndPartialLines)
         "\"spec\":\"x\",\"timeout_s\":0,\"exit\":0,\"reason\":\"\"}",
         // unknown state name:
         "{\"type\":\"sbn.job.v1\",\"job\":1,\"state\":\"paused\","
+        "\"spec\":\"x\",\"timeout_s\":0,\"started_unix\":0,"
+        "\"exit\":0,\"reason\":\"\"}",
+        // ids and exit codes that only a double could "hold":
+        "{\"type\":\"sbn.job.v1\",\"job\":1,\"state\":\"done\","
+        "\"spec\":\"x\",\"timeout_s\":0,\"started_unix\":0,"
+        "\"exit\":1e300,\"reason\":\"\"}",
+        "{\"type\":\"sbn.job.v1\",\"job\":1e300,\"state\":\"done\","
         "\"spec\":\"x\",\"timeout_s\":0,\"started_unix\":0,"
         "\"exit\":0,\"reason\":\"\"}",
     };
@@ -503,26 +462,26 @@ TEST(DaemonMetrics, ResponseIsFlatJsonWithDocumentedKeys)
 {
     const std::string line =
         formatDaemonMetricsResponse(sampleMetrics());
-    JsonObject fields;
+    FlatObject fields;
     std::string error;
-    ASSERT_TRUE(parseFlatJsonObject(line, fields, error)) << error;
+    ASSERT_TRUE(parseFlatObject(line, fields, error)) << error;
 
-    EXPECT_EQ(fields.at("ok").kind, JsonScalar::Kind::Bool);
+    EXPECT_EQ(fields.at("ok").kind, FlatValue::Kind::Bool);
     EXPECT_EQ(fields.at("type").text, "sbn.metrics.v1");
-    EXPECT_EQ(fields.at("uptime_s").number, 12.5);
-    EXPECT_EQ(fields.at("queued").number, 2.0);
-    EXPECT_EQ(fields.at("running").number, 1.0);
-    EXPECT_EQ(fields.at("done").number, 3.0);
-    EXPECT_EQ(fields.at("failed").number, 4.0);
-    EXPECT_EQ(fields.at("cancelled").number, 5.0);
-    EXPECT_EQ(fields.at("jobs_total").number, 15.0);
-    EXPECT_EQ(fields.at("queue_depth").number, 2.0);
-    EXPECT_EQ(fields.at("draining").kind, JsonScalar::Kind::Bool);
-    EXPECT_EQ(fields.at("journal_appends").number, 21.0);
-    EXPECT_EQ(fields.at("journal_fsyncs").number, 22.0);
-    EXPECT_EQ(fields.at("results_bytes_served").number, 1024.0);
-    EXPECT_EQ(fields.at("runner_relaunches").number, 6.0);
-    EXPECT_EQ(fields.at("active_job").number, 7.0);
+    EXPECT_EQ(std::stod(fields.at("uptime_s").text), 12.5);
+    EXPECT_EQ(std::stod(fields.at("queued").text), 2.0);
+    EXPECT_EQ(std::stod(fields.at("running").text), 1.0);
+    EXPECT_EQ(std::stod(fields.at("done").text), 3.0);
+    EXPECT_EQ(std::stod(fields.at("failed").text), 4.0);
+    EXPECT_EQ(std::stod(fields.at("cancelled").text), 5.0);
+    EXPECT_EQ(std::stod(fields.at("jobs_total").text), 15.0);
+    EXPECT_EQ(std::stod(fields.at("queue_depth").text), 2.0);
+    EXPECT_EQ(fields.at("draining").kind, FlatValue::Kind::Bool);
+    EXPECT_EQ(std::stod(fields.at("journal_appends").text), 21.0);
+    EXPECT_EQ(std::stod(fields.at("journal_fsyncs").text), 22.0);
+    EXPECT_EQ(std::stod(fields.at("results_bytes_served").text), 1024.0);
+    EXPECT_EQ(std::stod(fields.at("runner_relaunches").text), 6.0);
+    EXPECT_EQ(std::stod(fields.at("active_job").text), 7.0);
 }
 
 TEST(DaemonMetrics, IdleSnapshotReportsNullActiveJob)
@@ -530,10 +489,10 @@ TEST(DaemonMetrics, IdleSnapshotReportsNullActiveJob)
     DaemonMetricsSnapshot m = sampleMetrics();
     m.hasActiveJob = false;
     const std::string line = formatDaemonMetricsResponse(m);
-    JsonObject fields;
+    FlatObject fields;
     std::string error;
-    ASSERT_TRUE(parseFlatJsonObject(line, fields, error)) << error;
-    EXPECT_EQ(fields.at("active_job").kind, JsonScalar::Kind::Null);
+    ASSERT_TRUE(parseFlatObject(line, fields, error)) << error;
+    EXPECT_EQ(fields.at("active_job").kind, FlatValue::Kind::Null);
 }
 
 TEST(DaemonMetrics, HeartbeatV2KeepsEveryV1Key)
@@ -543,9 +502,9 @@ TEST(DaemonMetrics, HeartbeatV2KeepsEveryV1Key)
     ASSERT_FALSE(body.empty());
     EXPECT_EQ(body.back(), '\n');
 
-    JsonObject fields;
+    FlatObject fields;
     std::string error;
-    ASSERT_TRUE(parseFlatJsonObject(
+    ASSERT_TRUE(parseFlatObject(
         body.substr(0, body.size() - 1), fields, error))
         << error;
     EXPECT_EQ(fields.at("type").text, "sbn.heartbeat.v2");
@@ -553,10 +512,10 @@ TEST(DaemonMetrics, HeartbeatV2KeepsEveryV1Key)
     // The v1 contract: a consumer reading ts_unix, queued, running
     // and draining keeps working against a v2 body - same keys, same
     // scalar kinds, same meanings.
-    EXPECT_EQ(fields.at("ts_unix").number, 1754650000.0);
-    EXPECT_EQ(fields.at("queued").kind, JsonScalar::Kind::Number);
-    EXPECT_EQ(fields.at("running").kind, JsonScalar::Kind::Number);
-    EXPECT_EQ(fields.at("draining").kind, JsonScalar::Kind::Bool);
+    EXPECT_EQ(std::stod(fields.at("ts_unix").text), 1754650000.0);
+    EXPECT_EQ(fields.at("queued").kind, FlatValue::Kind::Number);
+    EXPECT_EQ(fields.at("running").kind, FlatValue::Kind::Number);
+    EXPECT_EQ(fields.at("draining").kind, FlatValue::Kind::Bool);
 
     // And the v2 additions ride alongside.
     EXPECT_TRUE(fields.count("queue_depth"));
@@ -700,9 +659,9 @@ requestLine(RequestKind kind, std::uint64_t job)
 std::string
 field(const std::string &line, const std::string &key)
 {
-    JsonObject fields;
+    FlatObject fields;
     std::string error;
-    if (!parseFlatJsonObject(line, fields, error))
+    if (!parseFlatObject(line, fields, error))
         return "unparsable: " + line;
     const auto it = fields.find(key);
     return it == fields.end() ? "" : it->second.text;

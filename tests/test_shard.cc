@@ -21,6 +21,7 @@
 
 #include "core/experiment.hh"
 #include "core/fingerprint.hh"
+#include "util/flatjson.hh"
 #include "exec/adaptive.hh"
 #include "exec/parallel_runner.hh"
 #include "shard/merge.hh"

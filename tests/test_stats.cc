@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "stats/accumulator.hh"
-#include "stats/batch_means.hh"
 #include "stats/histogram.hh"
 #include "stats/replication.hh"
 #include "util/random.hh"
@@ -103,40 +102,6 @@ TEST(Estimate, CoversItsMean)
     EXPECT_TRUE(e.covers(5.6, 0.2));
     EXPECT_DOUBLE_EQ(e.lower(), 4.5);
     EXPECT_DOUBLE_EQ(e.upper(), 5.5);
-}
-
-TEST(BatchMeans, GrandMeanMatchesStream)
-{
-    BatchMeans bm(10);
-    double sum = 0.0;
-    for (int i = 0; i < 1000; ++i) {
-        bm.add(static_cast<double>(i % 7));
-        sum += static_cast<double>(i % 7);
-    }
-    EXPECT_EQ(bm.batches(), 100u);
-    EXPECT_NEAR(bm.mean(), sum / 1000.0, 1e-9);
-}
-
-TEST(BatchMeans, IntervalShrinksWithData)
-{
-    RandomGenerator rng(7);
-    BatchMeans small(50), large(50);
-    for (int i = 0; i < 1000; ++i)
-        small.add(rng.uniformReal());
-    for (int i = 0; i < 50000; ++i)
-        large.add(rng.uniformReal());
-    EXPECT_LT(large.estimate().halfWidth, small.estimate().halfWidth);
-    EXPECT_TRUE(large.estimate().covers(0.5, 0.01));
-}
-
-TEST(BatchMeans, PartialBatchIgnored)
-{
-    BatchMeans bm(10);
-    for (int i = 0; i < 15; ++i)
-        bm.add(1.0);
-    EXPECT_EQ(bm.batches(), 1u);
-    bm.reset();
-    EXPECT_EQ(bm.batches(), 0u);
 }
 
 TEST(Histogram, BinningAndCounts)

@@ -15,8 +15,8 @@
 
 #include "core/experiment.hh"
 #include "exec/thread_pool.hh"
-#include "service/protocol.hh"
 #include "telemetry/telemetry.hh"
+#include "util/flatjson.hh"
 
 namespace sbn {
 namespace {
@@ -96,9 +96,9 @@ TEST(Telemetry, DumpIsFlatJsonWithEveryCounterKey)
     const TelemetrySnapshot snap = telemetrySnapshot();
     const std::string with_timers =
         formatTelemetrySnapshot(snap, /*include_timers=*/true);
-    JsonObject fields;
+    FlatObject fields;
     std::string error;
-    ASSERT_TRUE(parseFlatJsonObject(with_timers, fields, error))
+    ASSERT_TRUE(parseFlatObject(with_timers, fields, error))
         << error;
     EXPECT_EQ(fields.at("type").text, "sbn.telemetry.v1");
     for (unsigned i = 0; i < kTelemetryCounterCount; ++i) {
@@ -106,10 +106,10 @@ TEST(Telemetry, DumpIsFlatJsonWithEveryCounterKey)
             telemetryCounterName(static_cast<TelemetryCounter>(i));
         ASSERT_TRUE(fields.count(name)) << "missing key " << name;
     }
-    EXPECT_EQ(fields
-                  .at(std::string(telemetryCounterName(
-                          TelemetryCounter::SimThinkDraws)))
-                  .number,
+    EXPECT_EQ(std::stod(fields
+                            .at(std::string(telemetryCounterName(
+                                TelemetryCounter::SimThinkDraws)))
+                            .text),
               7.0);
     const std::string run_ns =
         std::string(telemetryTimerName(TelemetryTimer::SimRun)) +
@@ -119,8 +119,8 @@ TEST(Telemetry, DumpIsFlatJsonWithEveryCounterKey)
     // Counters-only form: timer keys absent, counter keys intact.
     const std::string counters_only =
         formatTelemetrySnapshot(snap, /*include_timers=*/false);
-    JsonObject counters;
-    ASSERT_TRUE(parseFlatJsonObject(counters_only, counters, error))
+    FlatObject counters;
+    ASSERT_TRUE(parseFlatObject(counters_only, counters, error))
         << error;
     EXPECT_FALSE(counters.count(run_ns));
     for (unsigned i = 0; i < kTelemetryCounterCount; ++i)
@@ -186,18 +186,14 @@ TEST(Telemetry, CounterDumpByteIdenticalAcrossThreadCounts)
     const std::string serial = adaptiveCounterDump(1);
 
     // Sanity: the serial run actually moved the kernel counters.
-    JsonObject fields;
+    FlatObject fields;
     std::string error;
-    ASSERT_TRUE(parseFlatJsonObject(serial, fields, error)) << error;
-    EXPECT_GT(fields
-                  .at(std::string(telemetryCounterName(
-                      TelemetryCounter::SimRuns)))
-                  .number,
+    ASSERT_TRUE(parseFlatObject(serial, fields, error)) << error;
+    EXPECT_GT(std::stod(fields.at(std::string(telemetryCounterName(
+                      TelemetryCounter::SimRuns))).text),
               0.0);
-    EXPECT_GT(fields
-                  .at(std::string(telemetryCounterName(
-                      TelemetryCounter::SimRequestsCompleted)))
-                  .number,
+    EXPECT_GT(std::stod(fields.at(std::string(telemetryCounterName(
+                      TelemetryCounter::SimRequestsCompleted))).text),
               0.0);
 
     for (const unsigned threads :
@@ -236,13 +232,11 @@ TEST(Telemetry, FastStatCounterDumpRepeatsExactly)
         telemetrySnapshot(), /*include_timers=*/false);
 
     EXPECT_EQ(first, second);
-    JsonObject fields;
+    FlatObject fields;
     std::string error;
-    ASSERT_TRUE(parseFlatJsonObject(first, fields, error)) << error;
-    EXPECT_GT(fields
-                  .at(std::string(telemetryCounterName(
-                      TelemetryCounter::SimThinkDraws)))
-                  .number,
+    ASSERT_TRUE(parseFlatObject(first, fields, error)) << error;
+    EXPECT_GT(std::stod(fields.at(std::string(telemetryCounterName(
+                      TelemetryCounter::SimThinkDraws))).text),
               0.0);
 }
 

@@ -12,7 +12,7 @@
 
 #include "core/experiment.hh"
 #include "desim/trace.hh"
-#include "service/protocol.hh"
+#include "util/flatjson.hh"
 
 namespace sbn {
 namespace {
@@ -90,10 +90,10 @@ TEST(TraceSink, JsonlEscapesAndRoundTrips)
     // The line itself must be exactly one line (escapes worked).
     EXPECT_EQ(line.find('\n'), std::string::npos);
 
-    JsonObject fields;
+    FlatObject fields;
     std::string error;
-    ASSERT_TRUE(parseFlatJsonObject(line, fields, error)) << error;
-    EXPECT_EQ(fields.at("tick").number, 7.0);
+    ASSERT_TRUE(parseFlatObject(line, fields, error)) << error;
+    EXPECT_EQ(std::stod(fields.at("tick").text), 7.0);
     EXPECT_EQ(fields.at("category").text, "mem");
     EXPECT_EQ(fields.at("message").text, nasty);
 }
@@ -115,9 +115,9 @@ TEST(TraceSink, JsonlStreamingKeepsRingSemantics)
     std::string line;
     std::size_t lines = 0;
     while (std::getline(in, line)) {
-        JsonObject fields;
+        FlatObject fields;
         std::string error;
-        ASSERT_TRUE(parseFlatJsonObject(line, fields, error)) << error;
+        ASSERT_TRUE(parseFlatObject(line, fields, error)) << error;
         ++lines;
     }
     EXPECT_EQ(lines, 5u);

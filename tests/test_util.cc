@@ -45,9 +45,9 @@ TEST(TextTable, CsvOutput)
 
 TEST(TextTable, FormatNumberPrecision)
 {
-    EXPECT_EQ(TextTable::formatNumber(1.23456, 3), "1.235");
-    EXPECT_EQ(TextTable::formatNumber(2.0, 1), "2.0");
-    EXPECT_EQ(TextTable::formatNumber(-0.5, 2), "-0.50");
+    EXPECT_EQ(TextTable::formatFixed(1.23456, 3), "1.235");
+    EXPECT_EQ(TextTable::formatFixed(2.0, 1), "2.0");
+    EXPECT_EQ(TextTable::formatFixed(-0.5, 2), "-0.50");
 }
 
 TEST(TextTable, ColumnsAligned)

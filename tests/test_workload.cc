@@ -28,13 +28,13 @@
 #include "analytic/memprio.hh"
 #include "analytic/occupancy_chain.hh"
 #include "core/experiment.hh"
-#include "core/fingerprint.hh"
 #include "exec/parallel_runner.hh"
 #include "exec/thread_pool.hh"
 #include "golden_util.hh"
 #include "shard/merge.hh"
 #include "shard/result_io.hh"
 #include "shard/runner.hh"
+#include "util/flatjson.hh"
 #include "workload/analytic.hh"
 #include "workload/workload.hh"
 
@@ -523,8 +523,8 @@ TEST(AnalyticDiskCache, RoundTripsBitExactly)
     ASSERT_TRUE(loadCachedSolve("test", 0x1234, values.size(), loaded));
     ASSERT_EQ(loaded.size(), values.size());
     for (std::size_t i = 0; i < values.size(); ++i)
-        EXPECT_EQ(doubleFingerprintBits(loaded[i]),
-                  doubleFingerprintBits(values[i]));
+        EXPECT_EQ(doubleBits(loaded[i]),
+                  doubleBits(values[i]));
 
     // Wrong fingerprint or count: miss, not a wrong answer.
     EXPECT_FALSE(loadCachedSolve("test", 0x9999, values.size(), loaded));
@@ -587,10 +587,10 @@ TEST(AnalyticDiskCache, WeightedChainSolvesPersistAndReload)
     // ...and agrees exactly with an uncached solve.
     const WeightedChainResult fresh =
         solveWeightedOccupancyChain(3, 3, 2, q);
-    EXPECT_EQ(doubleFingerprintBits(cached.meanBusy),
-              doubleFingerprintBits(fresh.meanBusy));
-    EXPECT_EQ(doubleFingerprintBits(cached.meanServiced),
-              doubleFingerprintBits(fresh.meanServiced));
+    EXPECT_EQ(doubleBits(cached.meanBusy),
+              doubleBits(fresh.meanBusy));
+    EXPECT_EQ(doubleBits(cached.meanServiced),
+              doubleBits(fresh.meanServiced));
 
     ASSERT_EQ(::unsetenv("SBN_CACHE_DIR"), 0);
 }

@@ -80,6 +80,7 @@
 #include "telemetry/telemetry.hh"
 #include "util/cli.hh"
 #include "util/exit_codes.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -299,36 +300,6 @@ callDaemon(const std::string &endpoint, const Request &request)
     return client.call(request);
 }
 
-/** Re-serialize a parsed flat object (key order = map order). */
-std::string
-formatFlatObject(const JsonObject &fields)
-{
-    std::string out = "{";
-    bool first = true;
-    for (const auto &pair : fields) {
-        if (!first)
-            out += ',';
-        first = false;
-        out += '"' + pair.first + "\":";
-        switch (pair.second.kind) {
-        case JsonScalar::Kind::String:
-            out += '"' + jsonEscape(pair.second.text) + '"';
-            break;
-        case JsonScalar::Kind::Number:
-            out += pair.second.text;
-            break;
-        case JsonScalar::Kind::Bool:
-            out += pair.second.boolean ? "true" : "false";
-            break;
-        case JsonScalar::Kind::Null:
-            out += "null";
-            break;
-        }
-    }
-    out += '}';
-    return out;
-}
-
 /** Print a protocol-level failure and exit nonzero. */
 [[noreturn]] void
 dieOnErrorResponse(const char *what, const ClientResponse &response)
@@ -369,15 +340,14 @@ fetchResultsAndExit(const std::string &endpoint, std::uint64_t job)
         dieOnErrorResponse("results", response);
     std::fwrite(response.payload.data(), 1, response.payload.size(),
                 stdout);
-    const int exit = static_cast<int>(response.number("exit", 0));
-    if (exit == kPartialResultExit)
+    const bool partial = response.number("exit") == kPartialResultExit;
+    if (partial)
         std::fprintf(stderr,
                      "sbn_sweep: job %llu finished partial; see the "
                      "job's missing-points manifest in the daemon "
                      "state dir\n",
                      static_cast<unsigned long long>(job));
-    std::exit(exit == kPartialResultExit ? kPartialResultExit
-                                         : kExitOk);
+    std::exit(partial ? kPartialResultExit : kExitOk);
 }
 
 [[noreturn]] void
@@ -395,8 +365,7 @@ runClientMode(const CommandLine &cli, const std::string &endpoint)
         const ClientResponse response = callDaemon(endpoint, request);
         if (!response.ok())
             dieOnErrorResponse("submit", response);
-        const std::uint64_t job =
-            static_cast<std::uint64_t>(response.number("job", 0));
+        const std::uint64_t job = response.number("job");
         std::fprintf(stderr, "sbn_sweep: submitted job %llu\n",
                      static_cast<unsigned long long>(job));
         if (!wait) {
@@ -468,7 +437,7 @@ runClientMode(const CommandLine &cli, const std::string &endpoint)
             dieOnErrorResponse("metrics", response);
         // One flat-JSON line, same shape as --status: machine
         // consumers parse it, humans can read it.
-        std::printf("%s\n", formatFlatObject(response.fields).c_str());
+        std::printf("%s\n", renderFlatObject(response.fields).c_str());
         std::exit(kExitOk);
     }
 
@@ -484,7 +453,7 @@ runClientMode(const CommandLine &cli, const std::string &endpoint)
     if (!response.ok())
         dieOnErrorResponse("status", response);
     // The status line is already machine-readable; pass it through.
-    std::printf("%s\n", formatFlatObject(response.fields).c_str());
+    std::printf("%s\n", renderFlatObject(response.fields).c_str());
     std::exit(kExitOk);
 }
 

@@ -39,8 +39,9 @@
 #include <string>
 #include <vector>
 
-#include "service/protocol.hh"
+#include "trace/span.hh"
 #include "util/cli.hh"
+#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -62,17 +63,6 @@ struct TraceSpan
     std::string file; //!< shard the span came from (diagnostics)
     std::size_t line = 0;
 };
-
-bool
-parseHexId(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty() || text.size() > 16 ||
-        text.find_first_not_of("0123456789abcdef") !=
-            std::string::npos)
-        return false;
-    out = std::strtoull(text.c_str(), nullptr, 16);
-    return true;
-}
 
 /** The trace-<pid>.jsonl shards under @p dir, sorted by name. */
 std::vector<std::string>
@@ -102,46 +92,24 @@ bool
 parseSpanLine(const std::string &line, TraceSpan &span,
               std::string &error)
 {
-    JsonObject fields;
-    if (!parseFlatJsonObject(line, fields, error))
+    FlatObject fields;
+    if (!parseFlatObject(line, fields, error))
         return false;
-    const auto text = [&](const char *key, std::string &out) {
-        const auto it = fields.find(key);
-        if (it == fields.end() ||
-            it->second.kind != JsonScalar::Kind::String) {
-            error = std::string("missing string field '") + key + "'";
-            return false;
-        }
-        out = it->second.text;
-        fields.erase(it);
-        return true;
-    };
-    const auto number = [&](const char *key, std::uint64_t &out,
-                            bool &ok) {
-        const auto it = fields.find(key);
-        if (it == fields.end() ||
-            it->second.kind != JsonScalar::Kind::Number ||
-            it->second.number < 0) {
-            error = std::string("missing numeric field '") + key + "'";
-            ok = false;
-            return;
-        }
-        out = static_cast<std::uint64_t>(it->second.number);
-        fields.erase(it);
-    };
+    FlatReader read(fields, error);
 
     std::string type, traceHex, spanHex, parentHex;
-    if (!text("type", type) || !text("trace", traceHex) ||
-        !text("span", spanHex) || !text("parent", parentHex) ||
-        !text("kind", span.kind) || !text("name", span.name))
+    if (!read.string("type", type) || !read.string("trace", traceHex) ||
+        !read.string("span", spanHex) ||
+        !read.string("parent", parentHex) ||
+        !read.string("kind", span.kind) || !read.string("name", span.name))
         return false;
     if (type != "sbn.trace.v1") {
         error = "unknown record type '" + type + "'";
         return false;
     }
-    if (!parseHexId(traceHex, span.trace) ||
-        !parseHexId(spanHex, span.span) ||
-        !parseHexId(parentHex, span.parent)) {
+    if (!parseTraceId(traceHex, span.trace) ||
+        !parseTraceId(spanHex, span.span) ||
+        !parseTraceId(parentHex, span.parent)) {
         error = "malformed trace/span/parent id";
         return false;
     }
@@ -149,25 +117,22 @@ parseSpanLine(const std::string &line, TraceSpan &span,
         error = "span id must be nonzero";
         return false;
     }
-    bool ok = true;
     std::uint64_t pid = 0;
-    number("pid", pid, ok);
-    number("start_us", span.startUs, ok);
-    number("end_us", span.endUs, ok);
-    if (!ok)
+    if (!read.unsignedInt("pid", pid) ||
+        !read.unsignedInt("start_us", span.startUs) ||
+        !read.unsignedInt("end_us", span.endUs))
         return false;
     span.pid = static_cast<long long>(pid);
 
-    for (const auto &pair : fields) {
-        if (pair.first.compare(0, 2, "a_") != 0 ||
-            pair.second.kind != JsonScalar::Kind::String) {
-            error = "unexpected field '" + pair.first + "'";
+    for (const auto &[key, value] : fields) {
+        if (key.compare(0, 2, "a_") != 0)
+            continue;
+        std::string text;
+        if (!read.string(key, text))
             return false;
-        }
-        span.attrs.emplace_back(pair.first.substr(2),
-                                pair.second.text);
+        span.attrs.emplace_back(key.substr(2), text);
     }
-    return true;
+    return read.finish();
 }
 
 /** Load every span from every shard; fatal on unreadable files. */
@@ -245,15 +210,6 @@ checkSpans(const std::vector<TraceSpan> &spans)
     return true;
 }
 
-std::string
-hex16(std::uint64_t value)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buf;
-}
-
 /** Chrome trace-event JSON on stdout (Perfetto-loadable). */
 void
 emitChromeTrace(std::vector<TraceSpan> spans)
@@ -276,21 +232,23 @@ emitChromeTrace(std::vector<TraceSpan> spans)
         if (!first)
             out += ",\n";
         first = false;
-        out += "{\"name\":\"" + jsonEscape(span.name) +
-               "\",\"cat\":\"" + jsonEscape(span.kind) +
-               "\",\"ph\":\"X\",\"ts\":" +
-               std::to_string(span.startUs - base) +
-               ",\"dur\":" +
-               std::to_string(span.endUs - span.startUs) +
-               ",\"pid\":" + std::to_string(span.pid) +
-               ",\"tid\":" + std::to_string(span.pid) +
-               ",\"args\":{\"trace\":\"" + hex16(span.trace) +
-               "\",\"span\":\"" + hex16(span.span) +
-               "\",\"parent\":\"" + hex16(span.parent) + "\"";
+        FlatWriter args;
+        args.string("trace", formatTraceId(span.trace))
+            .string("span", formatTraceId(span.span))
+            .string("parent", formatTraceId(span.parent));
         for (const auto &attr : span.attrs)
-            out += ",\"" + jsonEscape(attr.first) + "\":\"" +
-                   jsonEscape(attr.second) + "\"";
-        out += "}}";
+            args.string(attr.first, attr.second);
+        std::string event = FlatWriter()
+                                .string("name", span.name)
+                                .string("cat", span.kind)
+                                .string("ph", "X")
+                                .unsignedInt("ts", span.startUs - base)
+                                .unsignedInt("dur", span.endUs - span.startUs)
+                                .integer("pid", span.pid)
+                                .integer("tid", span.pid)
+                                .finish();
+        event.pop_back(); // the args object nests inside the event
+        out += event + ",\"args\":" + args.finish() + "}";
     }
     out += "]}\n";
     std::fputs(out.c_str(), stdout);
@@ -391,7 +349,7 @@ emitSummary(const std::vector<TraceSpan> &spans)
         if (root == nullptr)
             continue;
         std::printf("critical path (trace %s):\n",
-                    hex16(trace).c_str());
+                    formatTraceId(trace).c_str());
         const TraceSpan *current = root;
         std::set<std::uint64_t> visited;
         while (current != nullptr &&
