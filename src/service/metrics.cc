@@ -4,6 +4,14 @@
 
 namespace sbn {
 
+namespace {
+
+/**
+ * Append the snapshot's fields, for the metrics response and the
+ * heartbeat to put in their own envelopes. `active_job` is a number,
+ * or null when no runner is alive. Key order is fixed and
+ * documented; consumers may rely on it.
+ */
 void
 writeDaemonMetricsFields(FlatWriter &out, const DaemonMetricsSnapshot &m)
 {
@@ -27,6 +35,8 @@ writeDaemonMetricsFields(FlatWriter &out, const DaemonMetricsSnapshot &m)
     else
         out.null("active_job");
 }
+
+} // namespace
 
 std::string
 formatDaemonMetricsResponse(const DaemonMetricsSnapshot &m)

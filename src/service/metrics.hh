@@ -20,8 +20,6 @@
 
 namespace sbn {
 
-class FlatWriter;
-
 /** Everything the daemon reports about itself at one instant. */
 struct DaemonMetricsSnapshot
 {
@@ -52,16 +50,6 @@ struct DaemonMetricsSnapshot
     bool hasActiveJob = false; //!< at least one runner is alive
     std::uint64_t activeJob = 0; //!< lowest-id running job when so
 };
-
-/**
- * Append the snapshot's fields to @p out, so callers can put them in
- * their own envelope: the metrics response leads with
- * `"ok":true,"type":...`, the heartbeat with `"type":...,"ts_unix":...`.
- * `active_job` is a number, or null when no runner is alive. Key
- * order is fixed and documented; consumers may rely on it.
- */
-void writeDaemonMetricsFields(FlatWriter &out,
-                              const DaemonMetricsSnapshot &m);
 
 /** The full `metrics` response line (no newline):
  *  `{"ok":true,"type":"sbn.metrics.v1",<fields>}`. */

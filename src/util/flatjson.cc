@@ -249,34 +249,38 @@ parseFlatObject(std::string_view line, FlatObject &out,
 void
 appendEscaped(std::string &out, std::string_view text)
 {
-    for (const char c : text) {
+    // Plain bytes are copied a run at a time; most text needs no
+    // escape at all.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
+        if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20)
+            continue;
+        out.append(text.substr(run, i - run));
+        out += '\\';
         switch (c) {
         case '"':
-            out += "\\\"";
-            break;
         case '\\':
-            out += "\\\\";
+            out += c;
             break;
         case '\n':
-            out += "\\n";
+            out += 'n';
             break;
         case '\r':
-            out += "\\r";
+            out += 'r';
             break;
         case '\t':
-            out += "\\t";
+            out += 't';
             break;
         default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                const char *const hex = "0123456789abcdef";
-                out += "\\u00";
-                out += hex[c >> 4];
-                out += hex[c & 0xf];
-            } else {
-                out += c;
-            }
+            const char *const hex = "0123456789abcdef";
+            out += "u00";
+            out += hex[c >> 4];
+            out += hex[c & 0xf];
         }
+        run = i + 1;
     }
+    out.append(text.substr(run));
 }
 
 std::string
@@ -380,6 +384,13 @@ FlatWriter::fixed(std::string_view key, double value, int places)
     return *this;
 }
 
+FlatWriter::FlatWriter()
+{
+    // Room for a point record with its latency group.
+    out_.reserve(768);
+    out_ += '{';
+}
+
 std::string
 FlatWriter::finish()
 {
@@ -399,6 +410,16 @@ FlatReader::has(std::string_view key) const
     return object_.find(key) != object_.end();
 }
 
+bool
+FlatReader::mismatch(std::string_view key, const char *what,
+                     const FlatValue *value)
+{
+    error_ = "key \"" + std::string(key) + "\" must be " + what;
+    if (value != nullptr)
+        error_ += ", not " + value->text;
+    return false;
+}
+
 const FlatValue *
 FlatReader::find(std::string_view key, FlatValue::Kind kind,
                  const char *what)
@@ -409,7 +430,7 @@ FlatReader::find(std::string_view key, FlatValue::Kind kind,
         return nullptr;
     }
     if (it->second.kind != kind) {
-        error_ = "key \"" + std::string(key) + "\" must be " + what;
+        mismatch(key, what, nullptr);
         return nullptr;
     }
     read_.push_back(&it->second);
@@ -437,11 +458,8 @@ FlatReader::unsignedInt(std::string_view key, std::uint64_t &out)
     std::uint64_t result = 0;
     for (const char c : value->text) {
         if (!isDigit(c) ||
-            result > (kMax - static_cast<std::uint64_t>(c - '0')) / 10) {
-            error_ = "key \"" + std::string(key) + "\" must be " + what +
-                     ", not " + value->text;
-            return false;
-        }
+            result > (kMax - static_cast<std::uint64_t>(c - '0')) / 10)
+            return mismatch(key, what, value);
         result = result * 10 + static_cast<std::uint64_t>(c - '0');
     }
     out = result;
@@ -456,11 +474,8 @@ FlatReader::finiteDouble(std::string_view key, double &out)
     if (value == nullptr)
         return false;
     const double result = std::strtod(value->text.c_str(), nullptr);
-    if (!std::isfinite(result)) {
-        error_ = "key \"" + std::string(key) + "\" must be " + what +
-                 ", not " + value->text;
-        return false;
-    }
+    if (!std::isfinite(result))
+        return mismatch(key, what, value);
     out = result;
     return true;
 }

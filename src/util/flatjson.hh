@@ -81,6 +81,8 @@ std::string renderFlatObject(const FlatObject &object);
 class FlatWriter
 {
   public:
+    FlatWriter();
+
     FlatWriter &string(std::string_view key, std::string_view value);
     FlatWriter &unsignedInt(std::string_view key, std::uint64_t value);
     FlatWriter &integer(std::string_view key, long long value);
@@ -100,7 +102,7 @@ class FlatWriter
   private:
     void key(std::string_view key);
 
-    std::string out_ = "{";
+    std::string out_;
 };
 
 /**
@@ -133,6 +135,10 @@ class FlatReader
   private:
     const FlatValue *find(std::string_view key, FlatValue::Kind kind,
                           const char *what);
+    /** Name @p key and the type it must hold (and, when given, the
+     *  value it held instead) in the error; returns false. */
+    bool mismatch(std::string_view key, const char *what,
+                  const FlatValue *value);
 
     const FlatObject &object_;
     std::string &error_;
