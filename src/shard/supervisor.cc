@@ -732,18 +732,15 @@ writeMissingPointsManifest(const std::string &path,
     for (std::size_t k = 0; k < missing.size(); ++k) {
         if (k != 0)
             body += ',';
-        body += "{\"i\":";
-        body += std::to_string(missing[k]);
+        FlatWriter entry;
+        entry.unsignedInt("i", missing[k]);
         if (attributed) {
             const std::size_t owner = plan.owner(missing[k]);
-            body += ",\"shard\":";
-            body += std::to_string(owner);
-            body += ",\"file\":\"";
-            appendEscaped(body, shardFilePath(check.dir,
-                                              {owner, check.shardCount}));
-            body += '"';
+            entry.unsignedInt("shard", owner)
+                .string("file",
+                        shardFilePath(check.dir, {owner, check.shardCount}));
         }
-        body += '}';
+        body += entry.finish();
     }
     body += "]}\n";
 

@@ -250,19 +250,83 @@ traceEmitSpanWithId(const TraceContext &trace, std::uint64_t span,
 {
     if (!traceEnabled() || span == 0)
         return;
+    TraceSpan line;
+    line.trace = trace.traceId;
+    line.span = span;
+    line.parent = parent;
+    line.kind = kind;
+    line.name = name;
+    line.pid = static_cast<std::uint64_t>(::getpid());
+    line.startUs = start_us;
+    line.endUs = end_us;
+    line.attrs = attrs;
+    writer().write(formatSpanLine(line) + "\n");
+}
+
+std::string
+formatSpanLine(const TraceSpan &span)
+{
     FlatWriter line;
     line.string("type", "sbn.trace.v1")
-        .string("trace", formatTraceId(trace.traceId))
-        .string("span", formatTraceId(span))
-        .string("parent", formatTraceId(parent))
-        .string("kind", kind)
-        .string("name", name)
-        .integer("pid", ::getpid())
-        .unsignedInt("start_us", start_us)
-        .unsignedInt("end_us", end_us);
-    for (const TraceAttr &attr : attrs)
+        .string("trace", formatTraceId(span.trace))
+        .string("span", formatTraceId(span.span))
+        .string("parent", formatTraceId(span.parent))
+        .string("kind", span.kind)
+        .string("name", span.name)
+        .unsignedInt("pid", span.pid)
+        .unsignedInt("start_us", span.startUs)
+        .unsignedInt("end_us", span.endUs);
+    for (const TraceAttr &attr : span.attrs)
         line.string("a_" + attr.first, attr.second);
-    writer().write(line.finish() + "\n");
+    return line.finish();
+}
+
+bool
+parseSpanLine(const std::string &line, TraceSpan &out, std::string &error)
+{
+    FlatObject fields;
+    if (!parseFlatObject(line, fields, error))
+        return false;
+    FlatReader read(fields, error);
+
+    TraceSpan span;
+    std::string type, traceHex, spanHex, parentHex;
+    if (!read.string("type", type) || !read.string("trace", traceHex) ||
+        !read.string("span", spanHex) ||
+        !read.string("parent", parentHex) ||
+        !read.string("kind", span.kind) || !read.string("name", span.name))
+        return false;
+    if (type != "sbn.trace.v1") {
+        error = "unknown record type '" + type + "'";
+        return false;
+    }
+    if (!parseTraceId(traceHex, span.trace) ||
+        !parseTraceId(spanHex, span.span) ||
+        !parseTraceId(parentHex, span.parent)) {
+        error = "malformed trace/span/parent id";
+        return false;
+    }
+    if (span.span == 0) {
+        error = "span id must be nonzero";
+        return false;
+    }
+    if (!read.unsignedInt("pid", span.pid) ||
+        !read.unsignedInt("start_us", span.startUs) ||
+        !read.unsignedInt("end_us", span.endUs))
+        return false;
+
+    for (const auto &[key, value] : fields) {
+        if (key.compare(0, 2, "a_") != 0)
+            continue;
+        std::string text;
+        if (!read.string(key, text))
+            return false;
+        span.attrs.emplace_back(key.substr(2), text);
+    }
+    if (!read.finish())
+        return false;
+    out = std::move(span);
+    return true;
 }
 
 } // namespace sbn

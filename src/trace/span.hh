@@ -106,6 +106,33 @@ bool parseTraceId(const std::string &text, std::uint64_t &out);
 /** One "key":"value" span attribute (values JSON-escaped on write). */
 using TraceAttr = std::pair<std::string, std::string>;
 
+/** One sbn.trace.v1 span line, as written and as read back. */
+struct TraceSpan
+{
+    std::uint64_t trace = 0;
+    std::uint64_t span = 0;
+    std::uint64_t parent = 0;
+    std::string kind;
+    std::string name;
+    std::uint64_t pid = 0;
+    std::uint64_t startUs = 0;
+    std::uint64_t endUs = 0;
+    /** Written as "a_<key>" string fields, in this order. */
+    std::vector<TraceAttr> attrs;
+};
+
+/** The sbn.trace.v1 line for @p span (no newline). */
+std::string formatSpanLine(const TraceSpan &span);
+
+/**
+ * Parse one sbn.trace.v1 line; on failure @p error says why. Keys
+ * with the a_ prefix become attributes, in key order; any other key
+ * the format does not define is an error (the format is versioned
+ * precisely so drift is loud).
+ */
+bool parseSpanLine(const std::string &line, TraceSpan &out,
+                   std::string &error);
+
 /**
  * Append one complete span to this process's trace shard and return
  * its span id (0 when tracing is off). @p start_us/@p end_us are

@@ -434,6 +434,13 @@ TEST(WirePins, TelemetryAndHistogram)
 TEST(WirePins, TraceLines)
 {
     expectPinned(spanLine(), kSpanPin);
+    TraceSpan parsed;
+    std::string error;
+    ASSERT_TRUE(parseSpanLine(kSpanPin, parsed, error)) << error;
+    EXPECT_EQ(parsed.name, "shard 1 \"retry\"");
+    ASSERT_EQ(parsed.attrs.size(), 2u);
+    EXPECT_EQ(parsed.attrs[1].second, "a\\b\tc");
+    EXPECT_EQ(formatSpanLine(parsed), kSpanPin);
     expectPinned(traceSinkLine(), kTraceSinkPin);
 }
 
@@ -657,7 +664,8 @@ mutate(std::string &line, std::mt19937_64 &rng,
 /** What the codec and every format parser must do with any input. */
 struct MutantCheck
 {
-    std::size_t codec = 0, records = 0, journal = 0, requests = 0;
+    std::size_t codec = 0, records = 0, journal = 0, requests = 0,
+                spans = 0;
 
     void operator()(const std::string &line)
     {
@@ -701,6 +709,14 @@ struct MutantCheck
             ASSERT_TRUE(parseRequest(once, again, error)) << error;
             ASSERT_EQ(formatRequest(again), once) << line;
         }
+        TraceSpan span;
+        if (parseSpanLine(line, span, error)) {
+            ++spans;
+            const std::string once = formatSpanLine(span);
+            TraceSpan again;
+            ASSERT_TRUE(parseSpanLine(once, again, error)) << error;
+            ASSERT_EQ(formatSpanLine(again), once) << line;
+        }
     }
 };
 
@@ -725,6 +741,7 @@ TEST(FlatJson, MutatedPinsNeverCrashAndReachAFixedPoint)
     EXPECT_GT(check.records, 15u);
     EXPECT_GT(check.journal, 40u);
     EXPECT_GT(check.requests, 150u);
+    EXPECT_GT(check.spans, 35u);
 }
 
 } // namespace

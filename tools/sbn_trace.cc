@@ -48,19 +48,10 @@ namespace {
 
 using namespace sbn;
 
-/** One parsed sbn.trace.v1 span. */
-struct TraceSpan
+/** One span and the shard line it was read from (diagnostics). */
+struct ShardSpan : TraceSpan
 {
-    std::uint64_t trace = 0;
-    std::uint64_t span = 0;
-    std::uint64_t parent = 0;
-    std::string kind;
-    std::string name;
-    long long pid = 0;
-    std::uint64_t startUs = 0;
-    std::uint64_t endUs = 0;
-    std::vector<std::pair<std::string, std::string>> attrs;
-    std::string file; //!< shard the span came from (diagnostics)
+    std::string file;
     std::size_t line = 0;
 };
 
@@ -83,63 +74,11 @@ findShards(const std::string &dir)
     return shards;
 }
 
-/**
- * Parse one shard line into @p span; on failure @p error says why.
- * Unknown a_-prefixed keys become attributes; unknown bare keys are
- * an error (the format is versioned precisely so drift is loud).
- */
-bool
-parseSpanLine(const std::string &line, TraceSpan &span,
-              std::string &error)
-{
-    FlatObject fields;
-    if (!parseFlatObject(line, fields, error))
-        return false;
-    FlatReader read(fields, error);
-
-    std::string type, traceHex, spanHex, parentHex;
-    if (!read.string("type", type) || !read.string("trace", traceHex) ||
-        !read.string("span", spanHex) ||
-        !read.string("parent", parentHex) ||
-        !read.string("kind", span.kind) || !read.string("name", span.name))
-        return false;
-    if (type != "sbn.trace.v1") {
-        error = "unknown record type '" + type + "'";
-        return false;
-    }
-    if (!parseTraceId(traceHex, span.trace) ||
-        !parseTraceId(spanHex, span.span) ||
-        !parseTraceId(parentHex, span.parent)) {
-        error = "malformed trace/span/parent id";
-        return false;
-    }
-    if (span.span == 0) {
-        error = "span id must be nonzero";
-        return false;
-    }
-    std::uint64_t pid = 0;
-    if (!read.unsignedInt("pid", pid) ||
-        !read.unsignedInt("start_us", span.startUs) ||
-        !read.unsignedInt("end_us", span.endUs))
-        return false;
-    span.pid = static_cast<long long>(pid);
-
-    for (const auto &[key, value] : fields) {
-        if (key.compare(0, 2, "a_") != 0)
-            continue;
-        std::string text;
-        if (!read.string(key, text))
-            return false;
-        span.attrs.emplace_back(key.substr(2), text);
-    }
-    return read.finish();
-}
-
 /** Load every span from every shard; fatal on unreadable files. */
-std::vector<TraceSpan>
+std::vector<ShardSpan>
 loadSpans(const std::vector<std::string> &shards)
 {
-    std::vector<TraceSpan> spans;
+    std::vector<ShardSpan> spans;
     for (const std::string &path : shards) {
         std::ifstream in(path);
         if (!in.is_open())
@@ -150,7 +89,7 @@ loadSpans(const std::vector<std::string> &shards)
             ++lineNo;
             if (line.empty())
                 continue;
-            TraceSpan span;
+            ShardSpan span;
             std::string error;
             if (!parseSpanLine(line, span, error))
                 sbn_fatal(path, ":", lineNo, ": bad span line: ",
@@ -170,10 +109,10 @@ loadSpans(const std::vector<std::string> &shards)
  * returns false.
  */
 bool
-checkSpans(const std::vector<TraceSpan> &spans)
+checkSpans(const std::vector<ShardSpan> &spans)
 {
-    std::map<std::uint64_t, const TraceSpan *> byId;
-    for (const TraceSpan &span : spans) {
+    std::map<std::uint64_t, const ShardSpan *> byId;
+    for (const ShardSpan &span : spans) {
         if (span.endUs < span.startUs) {
             std::fprintf(stderr,
                          "sbn_trace: %s:%zu: span '%s' ends before "
@@ -187,13 +126,13 @@ checkSpans(const std::vector<TraceSpan> &spans)
         }
         byId[span.span] = &span;
     }
-    for (const TraceSpan &span : spans) {
+    for (const ShardSpan &span : spans) {
         if (span.parent == 0)
             continue;
         const auto it = byId.find(span.parent);
         if (it == byId.end())
             continue; // parent's process died before emitting: fine
-        const TraceSpan &parent = *it->second;
+        const ShardSpan &parent = *it->second;
         if (span.trace == parent.trace &&
             span.startUs < parent.startUs) {
             std::fprintf(
@@ -212,15 +151,15 @@ checkSpans(const std::vector<TraceSpan> &spans)
 
 /** Chrome trace-event JSON on stdout (Perfetto-loadable). */
 void
-emitChromeTrace(std::vector<TraceSpan> spans)
+emitChromeTrace(std::vector<ShardSpan> spans)
 {
     std::uint64_t base = ~0ull;
-    for (const TraceSpan &span : spans)
+    for (const ShardSpan &span : spans)
         base = std::min(base, span.startUs);
     if (spans.empty())
         base = 0;
     std::sort(spans.begin(), spans.end(),
-              [](const TraceSpan &a, const TraceSpan &b) {
+              [](const ShardSpan &a, const ShardSpan &b) {
                   return a.startUs != b.startUs
                              ? a.startUs < b.startUs
                              : a.span < b.span;
@@ -228,7 +167,7 @@ emitChromeTrace(std::vector<TraceSpan> spans)
 
     std::string out = "{\"traceEvents\":[";
     bool first = true;
-    for (const TraceSpan &span : spans) {
+    for (const ShardSpan &span : spans) {
         if (!first)
             out += ",\n";
         first = false;
@@ -244,8 +183,8 @@ emitChromeTrace(std::vector<TraceSpan> spans)
                                 .string("ph", "X")
                                 .unsignedInt("ts", span.startUs - base)
                                 .unsignedInt("dur", span.endUs - span.startUs)
-                                .integer("pid", span.pid)
-                                .integer("tid", span.pid)
+                                .unsignedInt("pid", span.pid)
+                                .unsignedInt("tid", span.pid)
                                 .finish();
         event.pop_back(); // the args object nests inside the event
         out += event + ",\"args\":" + args.finish() + "}";
@@ -265,11 +204,11 @@ seconds(std::uint64_t micros)
 
 /** Per-kind totals, slowest attempts, per-trace critical path. */
 void
-emitSummary(const std::vector<TraceSpan> &spans)
+emitSummary(const std::vector<ShardSpan> &spans)
 {
-    std::set<long long> pids;
+    std::set<std::uint64_t> pids;
     std::set<std::uint64_t> traces;
-    for (const TraceSpan &span : spans) {
+    for (const ShardSpan &span : spans) {
         pids.insert(span.pid);
         traces.insert(span.trace);
     }
@@ -283,7 +222,7 @@ emitSummary(const std::vector<TraceSpan> &spans)
         std::uint64_t maxUs = 0;
     };
     std::map<std::string, KindStat> kinds;
-    for (const TraceSpan &span : spans) {
+    for (const ShardSpan &span : spans) {
         KindStat &stat = kinds[span.kind];
         ++stat.count;
         const std::uint64_t dur = span.endUs - span.startUs;
@@ -298,19 +237,19 @@ emitSummary(const std::vector<TraceSpan> &spans)
                     seconds(pair.second.maxUs).c_str());
 
     // Slowest shard attempts: where a fleet's wall clock went.
-    std::vector<const TraceSpan *> attempts;
-    for (const TraceSpan &span : spans)
+    std::vector<const ShardSpan *> attempts;
+    for (const ShardSpan &span : spans)
         if (span.kind == "attempt")
             attempts.push_back(&span);
     std::sort(attempts.begin(), attempts.end(),
-              [](const TraceSpan *a, const TraceSpan *b) {
+              [](const ShardSpan *a, const ShardSpan *b) {
                   return a->endUs - a->startUs > b->endUs - b->startUs;
               });
     if (!attempts.empty()) {
         std::printf("slowest attempts:\n");
         for (std::size_t i = 0;
              i < std::min<std::size_t>(5, attempts.size()); ++i) {
-            const TraceSpan &span = *attempts[i];
+            const ShardSpan &span = *attempts[i];
             std::string outcome;
             for (const auto &attr : span.attrs)
                 if (attr.first == "outcome")
@@ -326,17 +265,17 @@ emitSummary(const std::vector<TraceSpan> &spans)
     // Critical path per trace: from the root span, repeatedly follow
     // the child whose interval ends latest - the chain that had to
     // finish for the trace to finish.
-    std::map<std::uint64_t, std::vector<const TraceSpan *>> children;
-    for (const TraceSpan &span : spans)
+    std::map<std::uint64_t, std::vector<const ShardSpan *>> children;
+    for (const ShardSpan &span : spans)
         if (span.parent != 0)
             children[span.parent].push_back(&span);
     for (const std::uint64_t trace : traces) {
-        const TraceSpan *root = nullptr;
+        const ShardSpan *root = nullptr;
         std::set<std::uint64_t> ids;
-        for (const TraceSpan &span : spans)
+        for (const ShardSpan &span : spans)
             if (span.trace == trace)
                 ids.insert(span.span);
-        for (const TraceSpan &span : spans) {
+        for (const ShardSpan &span : spans) {
             if (span.trace != trace)
                 continue;
             if (span.parent != 0 && ids.count(span.parent) != 0)
@@ -350,17 +289,17 @@ emitSummary(const std::vector<TraceSpan> &spans)
             continue;
         std::printf("critical path (trace %s):\n",
                     formatTraceId(trace).c_str());
-        const TraceSpan *current = root;
+        const ShardSpan *current = root;
         std::set<std::uint64_t> visited;
         while (current != nullptr &&
                visited.insert(current->span).second) {
             std::printf("  %s (%s)\n", current->name.c_str(),
                         seconds(current->endUs - current->startUs)
                             .c_str());
-            const TraceSpan *next = nullptr;
+            const ShardSpan *next = nullptr;
             const auto it = children.find(current->span);
             if (it != children.end())
-                for (const TraceSpan *child : it->second)
+                for (const ShardSpan *child : it->second)
                     if (child->trace == trace &&
                         (next == nullptr ||
                          child->endUs > next->endUs))
@@ -401,7 +340,7 @@ main(int argc, char **argv)
     if (shards.empty())
         sbn_fatal("no trace-*.jsonl shards under '", dir,
                   "'; was the run traced (--trace / SBN_TRACE_DIR)?");
-    const std::vector<TraceSpan> spans = loadSpans(shards);
+    const std::vector<ShardSpan> spans = loadSpans(shards);
     std::fprintf(stderr, "sbn_trace: %zu span(s) from %zu shard(s)\n",
                  spans.size(), shards.size());
 
