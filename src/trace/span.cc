@@ -250,16 +250,9 @@ traceEmitSpanWithId(const TraceContext &trace, std::uint64_t span,
 {
     if (!traceEnabled() || span == 0)
         return;
-    TraceSpan line;
-    line.trace = trace.traceId;
-    line.span = span;
-    line.parent = parent;
-    line.kind = kind;
-    line.name = name;
-    line.pid = static_cast<std::uint64_t>(::getpid());
-    line.startUs = start_us;
-    line.endUs = end_us;
-    line.attrs = attrs;
+    const TraceSpan line{trace.traceId, span, parent, kind, name,
+                         static_cast<std::uint64_t>(::getpid()),
+                         start_us, end_us, attrs};
     writer().write(formatSpanLine(line) + "\n");
 }
 
