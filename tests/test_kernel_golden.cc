@@ -29,11 +29,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/system.hh"
 #include "golden_util.hh"
 
 namespace sbn {
@@ -137,6 +139,57 @@ TEST(GoldenKernelMetrics, CycleSkipPinnedPolicyVariants)
         }
     }
     checkExactGolden("kernel_metrics_policies", computed);
+}
+
+/**
+ * Same-tick order at r = 1, where a memory completion and the
+ * coalesced bus cycle can fall on one tick: completions due at a tick
+ * must run before that tick's bus cycle, and both before the idle-bus
+ * arbitration. Swapping any two of these changes the grant decisions,
+ * so every line here moves; the dispatch count pins how many scheduled
+ * events the kernel ran to get there.
+ */
+TEST(GoldenKernelMetrics, CycleSkipPinnedSameTickOrderAtR1)
+{
+    std::vector<GoldenLine> computed;
+    for (const int n : {4, 12}) {
+        // -1: unbuffered; otherwise buffered with this capacity on
+        // both sides (0 = unbounded).
+        for (const int capacity : {-1, 0, 1, 2}) {
+            SystemConfig cfg;
+            cfg.numProcessors = n;
+            cfg.numModules = 3;
+            cfg.memoryRatio = 1;
+            cfg.requestProbability = 0.9;
+            cfg.buffered = capacity >= 0;
+            cfg.inputCapacity = std::max(capacity, 0);
+            cfg.outputCapacity = std::max(capacity, 0);
+            cfg.warmupCycles = 1000;
+            cfg.measureCycles = 20000;
+            cfg.seed = 7;
+
+            char label[64];
+            if (capacity < 0)
+                std::snprintf(label, sizeof label, "n=%d unbuffered", n);
+            else
+                std::snprintf(label, sizeof label, "n=%d buf cap=%d", n,
+                              capacity);
+
+            SingleBusSystem system(cfg);
+            const Metrics metrics = system.run();
+            const std::string key = label;
+            computed.push_back(
+                {key + " completed", exact(metrics.completedRequests)});
+            computed.push_back(
+                {key + " busBusy", exact(metrics.busBusyCycles)});
+            computed.push_back(
+                {key + " meanWait", exact(metrics.meanWaitCycles)});
+            computed.push_back(
+                {key + " dispatches",
+                 exact(system.heapEventsExecuted())});
+        }
+    }
+    checkExactGolden("kernel_metrics_r1", computed);
 }
 
 } // namespace
