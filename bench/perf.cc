@@ -1,8 +1,8 @@
 /**
  * @file
  * Performance benchmarks of the library itself (not a paper artifact):
- * simulator event throughput across system shapes, kernel scheduling
- * cost, and analytic-model solve times. Regressions here mean the
+ * simulator event throughput across system shapes and analytic-model
+ * solve times. Regressions here mean the
  * reproduction benches get slower to run.
  */
 
@@ -20,7 +20,6 @@
 #include "baselines/multibus_sim.hh"
 #include "core/faststat.hh"
 #include "core/system.hh"
-#include "desim/simulation.hh"
 #include "exec/parallel_runner.hh"
 #include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
@@ -28,9 +27,10 @@
 namespace {
 
 /**
- * One kernel throughput measurement: wall time, heap events and
- * derived cycles/s for a config, for both the exact CycleSkip kernel
- * and the statistical FastStat kernel.
+ * One kernel throughput measurement: wall time, scheduled-event
+ * dispatches (written as "heap_events", the field name the committed
+ * baselines use) and derived cycles/s for a config, for both the
+ * exact CycleSkip kernel and the statistical FastStat kernel.
  */
 struct KernelSample
 {
@@ -85,7 +85,7 @@ measureKernel(std::string name, sbn::SystemConfig cfg)
                     .count();
             if (s < sample.seconds) {
                 sample.seconds = s;
-                sample.events = system.heapEventsExecuted();
+                sample.events = system.eventsDispatched();
             }
             sample.ebw = metrics.ebw;
         }
@@ -278,65 +278,6 @@ BM_SimulatorLowP(benchmark::State &state)
         static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimulatorLowP)->Unit(benchmark::kMillisecond);
-
-void
-BM_EventKernelScheduleRun(benchmark::State &state)
-{
-    using namespace sbn;
-    const auto depth = static_cast<std::size_t>(state.range(0));
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        Simulation sim;
-        std::vector<std::unique_ptr<EventFunction>> pool;
-        pool.reserve(depth);
-        for (std::size_t i = 0; i < depth; ++i) {
-            pool.push_back(std::make_unique<EventFunction>([] {}));
-            sim.queue().schedule(*pool.back(), i % 97);
-        }
-        events += sim.runAll();
-    }
-    state.counters["events/s"] = benchmark::Counter(
-        static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EventKernelScheduleRun)->Arg(1024)->Arg(65536);
-
-/**
- * Deschedule-heavy kernel churn: schedule a full window, cancel 3/4
- * of it, reschedule the cancelled events later, run everything. This
- * is the pattern that used to scan the heap linearly per deschedule
- * and let tombstones pile up; it now exercises the O(1) deschedule
- * and the bounded compaction.
- */
-void
-BM_EventKernelDescheduleChurn(benchmark::State &state)
-{
-    using namespace sbn;
-    const auto depth = static_cast<std::size_t>(state.range(0));
-    std::uint64_t deschedules = 0;
-    for (auto _ : state) {
-        Simulation sim;
-        std::vector<std::unique_ptr<EventFunction>> pool;
-        pool.reserve(depth);
-        for (std::size_t i = 0; i < depth; ++i) {
-            pool.push_back(std::make_unique<EventFunction>([] {}));
-            sim.queue().schedule(*pool.back(), i % 97);
-        }
-        for (std::size_t i = 0; i < depth; ++i) {
-            if (i % 4 != 0) {
-                sim.queue().deschedule(*pool[i]);
-                ++deschedules;
-            }
-        }
-        for (std::size_t i = 0; i < depth; ++i) {
-            if (i % 4 != 0)
-                sim.queue().schedule(*pool[i], 100 + i % 97);
-        }
-        benchmark::DoNotOptimize(sim.runAll());
-    }
-    state.counters["deschedules/s"] = benchmark::Counter(
-        static_cast<double>(deschedules), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EventKernelDescheduleChurn)->Arg(1024)->Arg(65536);
 
 /**
  * Parallel sweep throughput at 1 / 2 / hardware threads: the same

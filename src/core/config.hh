@@ -9,10 +9,16 @@
 #include <cstdint>
 #include <vector>
 
-#include "desim/event.hh"
 #include "workload/workload.hh"
 
 namespace sbn {
+
+/**
+ * Simulated time in bus cycles (the paper's basic cycle t): the
+ * simulated systems are synchronous to the bus, so one tick is one
+ * bus cycle.
+ */
+using Tick = std::uint64_t;
 
 class TraceSink;
 

@@ -17,8 +17,8 @@
  *  - **Fixed-stride completion calendar.** Every memory access
  *    completes exactly memoryRatio ticks after it starts, and starts
  *    are issued at the monotone loop tick - so pending completions
- *    form a FIFO ring of at most numModules entries, replacing the
- *    event heap entirely. The kernel has no EventQueue.
+ *    form a FIFO ring of at most numModules entries (CycleSkip uses
+ *    the same ring).
  *  - **SoA processor state.** The arbitration scan walks parallel
  *    arrays (state / target / issue tick) plus the incremental
  *    IndexSet candidate bitsets, not an array of structs.

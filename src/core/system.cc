@@ -1,7 +1,6 @@
 #include "core/system.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
@@ -18,8 +17,6 @@ traceText(Args &&...args)
     return detail::composeMessage(std::forward<Args>(args)...);
 }
 
-constexpr Tick kNever = std::numeric_limits<Tick>::max();
-
 } // namespace
 
 SingleBusSystem::SingleBusSystem(const SystemConfig &config)
@@ -30,19 +27,8 @@ SingleBusSystem::SingleBusSystem(const SystemConfig &config)
                 cfg_.numModules, cfg_.requestProbability)
 {
     procs_.resize(cfg_.numProcessors);
-
     mods_.resize(cfg_.numModules);
-    for (int m = 0; m < cfg_.numModules; ++m) {
-        mods_[m].completionEvent.bind(*this,
-                                      &SingleBusSystem::memoryCompletion,
-                                      m, event_priority::kUpdate,
-                                      "mem-complete");
-    }
-
-    arbitrationEvent_.bind(*this, &SingleBusSystem::onArbitrate, 0,
-                           event_priority::kDecide, "bus-arbitrate");
-    busCycleEvent_.bind(*this, &SingleBusSystem::onBusCycle, 0,
-                        event_priority::kUpdate, "bus-cycle");
+    completions_.resize(static_cast<std::size_t>(cfg_.numModules));
 
     windowStart_ = cfg_.warmupCycles;
     windowEnd_ = cfg_.warmupCycles + cfg_.measureCycles;
@@ -162,22 +148,40 @@ SingleBusSystem::refreshModule(int module)
 }
 
 void
-SingleBusSystem::requestArbitration(Tick at)
+SingleBusSystem::requestArbitration()
 {
     // While arbitrate() itself runs (granting), candidates surfacing
     // from its side effects are covered by the post-grant arbitration
     // at the next cycle; scheduling here would double-grant the bus
     // within one cycle.
-    if (inArbitration_ || arbitrationEvent_.scheduled())
+    if (inArbitration_ || arbitrationAt_ != kNever)
         return;
     // The coalesced bus cycle already ends in an arbitration.
-    if (inBusCycle_ || busCycleEvent_.scheduled())
+    if (inBusCycle_ || busCycleAt_ != kNever)
         return;
     // With incrementally maintained candidate sets an empty-handed
     // arbitration is knowable in advance (no RNG, no state change).
     if (candProcSet_.empty() && candModSet_.empty())
         return;
-    sim_.queue().schedule(arbitrationEvent_, at);
+    arbitrationAt_ = now_;
+}
+
+void
+SingleBusSystem::scheduleCompletion(int module)
+{
+    const Tick due = now_ + static_cast<Tick>(cfg_.memoryRatio);
+    // Same-tick updates run in the order they were scheduled, and
+    // dispatchDue runs completions before the bus cycle: a bus cycle
+    // already pending at the due tick would have to go first.
+    sbn_assert(due != busCycleAt_,
+               "completion scheduled onto a pending bus cycle's tick");
+    sbn_debug_assert(completionCount_ < completions_.size(),
+                     "completion ring overflow");
+    std::size_t slot = completionHead_ + completionCount_;
+    if (slot >= completions_.size())
+        slot -= completions_.size();
+    completions_[slot] = Completion{due, module};
+    ++completionCount_;
 }
 
 bool
@@ -201,7 +205,7 @@ SingleBusSystem::drawProcessor(int proc, Tick now)
         if (cfg_.collectPerModule)
             noteQueueDepth(p.target, now, +1);
         if (modCanAccept_[p.target])
-            requestArbitration(now);
+            requestArbitration();
         return true;
     }
 
@@ -221,10 +225,9 @@ SingleBusSystem::drawProcessor(int proc, Tick now)
 void
 SingleBusSystem::processorReady(int proc)
 {
-    const Tick now = sim_.now();
-    if (drawProcessor(proc, now))
+    if (drawProcessor(proc, now_))
         return;
-    enterThinking(proc, now);
+    enterThinking(proc, now_);
 }
 
 void
@@ -327,7 +330,7 @@ SingleBusSystem::processThinkTick(Tick now, std::size_t idx)
 void
 SingleBusSystem::memoryCompletion(int module)
 {
-    const Tick now = sim_.now();
+    const Tick now = now_;
     Module &mod = mods_[module];
 
     if (cfg_.trace) {
@@ -342,7 +345,7 @@ SingleBusSystem::memoryCompletion(int module)
         mod.state = ModState::HoldingResponse;
         recordAccessSpan(module, mod.accessStart, now);
         refreshModule(module);
-        requestArbitration(now);
+        requestArbitration();
         return;
     }
 
@@ -352,7 +355,7 @@ SingleBusSystem::memoryCompletion(int module)
     recordAccessSpan(module, mod.accessStart, now);
     refreshModule(module);
     maybeStartBufferedAccess(module);
-    requestArbitration(now);
+    requestArbitration();
 }
 
 void
@@ -365,7 +368,7 @@ SingleBusSystem::maybeStartBufferedAccess(int module)
         static_cast<int>(mod.outputQueue.size()) >= cfg_.outputCapacity)
         return; // blocked until a response drains
 
-    const Tick now = sim_.now();
+    const Tick now = now_;
     mod.servingProc = mod.inputQueue.front();
     mod.inputQueue.pop_front();
     mod.accessing = true;
@@ -381,17 +384,16 @@ SingleBusSystem::maybeStartBufferedAccess(int module)
                                      " starts access for proc ",
                                      mod.servingProc));
     }
-    sim_.queue().schedule(mod.completionEvent,
-                          now + static_cast<Tick>(cfg_.memoryRatio));
+    scheduleCompletion(module);
     refreshModule(module);
     // An input slot freed: a waiting processor may now be eligible.
-    requestArbitration(now);
+    requestArbitration();
 }
 
 void
 SingleBusSystem::transferDone()
 {
-    const Tick now = sim_.now();
+    const Tick now = now_;
     const BusTransfer xfer = busTransfer_;
     busTransfer_ = BusTransfer{};
 
@@ -412,9 +414,7 @@ SingleBusSystem::transferDone()
                                              " starts access for proc ",
                                              xfer.proc));
             }
-            sim_.queue().schedule(
-                mod.completionEvent,
-                now + static_cast<Tick>(cfg_.memoryRatio));
+            scheduleCompletion(xfer.module);
             refreshModule(xfer.module);
         } else {
             --mod.reservedInput;
@@ -437,7 +437,7 @@ SingleBusSystem::transferDone()
         mod.servingProc = -1;
         refreshModule(xfer.module);
         // Requests queued for this module become eligible.
-        requestArbitration(now);
+        requestArbitration();
     }
 
     // Deliver to the processor; it immediately starts its next
@@ -452,12 +452,12 @@ SingleBusSystem::transferDone()
 }
 
 void
-SingleBusSystem::onBusCycle(int)
+SingleBusSystem::busCycle()
 {
     // Coalesced bus cycle: the transfer completes, then -- all
     // same-tick state updates having already run, since nothing can
-    // enqueue between the two -- the next arbitration decides,
-    // exactly where a separate kDecide event would have run.
+    // be scheduled between the two -- the next arbitration decides,
+    // exactly where a separate idle-bus arbitration would have run.
     inBusCycle_ = true;
     transferDone();
     inBusCycle_ = false;
@@ -522,7 +522,7 @@ SingleBusSystem::selectIncremental(int &chosen_proc, int &chosen_mod)
 void
 SingleBusSystem::arbitrate()
 {
-    const Tick now = sim_.now();
+    const Tick now = now_;
     sbn_assert(busTransfer_.kind == BusTransfer::Kind::None,
                "arbitrating while the bus is busy");
     inArbitration_ = true;
@@ -544,9 +544,9 @@ SingleBusSystem::arbitrate()
 
     if (inWindow(now))
         ++busBusy_;
-    // One coalesced event replaces the transfer-done/arbitrate pair:
-    // the bus stays busy through the next cycle either way.
-    sim_.queue().schedule(busCycleEvent_, now + 1);
+    // One coalesced bus cycle replaces the transfer-done/arbitrate
+    // pair: the bus stays busy through the next cycle either way.
+    busCycleAt_ = now + 1;
     inArbitration_ = false;
 }
 
@@ -567,7 +567,7 @@ SingleBusSystem::grantRequest(int proc)
         // The request leaves the queue for the (dedicated) server;
         // buffered grants stay queued until the module starts them.
         if (cfg_.collectPerModule)
-            noteQueueDepth(p.target, sim_.now(), -1);
+            noteQueueDepth(p.target, now_, -1);
     } else {
         ++mod.reservedInput;
     }
@@ -575,7 +575,7 @@ SingleBusSystem::grantRequest(int proc)
 
     busTransfer_ = BusTransfer{BusTransfer::Kind::Request, proc, p.target};
     if (cfg_.trace) {
-        cfg_.trace->record(sim_.now(), "bus",
+        cfg_.trace->record(now_, "bus",
                            traceText("grant request proc ", proc,
                                      " -> module ", p.target));
     }
@@ -584,7 +584,7 @@ SingleBusSystem::grantRequest(int proc)
 void
 SingleBusSystem::grantResponse(int module)
 {
-    const Tick now = sim_.now();
+    const Tick now = now_;
     Module &mod = mods_[module];
     int proc = -1;
 
@@ -701,30 +701,54 @@ SingleBusSystem::runCycleSkip()
     thinkNextDue_ = 0;
     thinkNextIdx_ = 0;
 
-    // Hybrid driver: interleave calendar think-ticks with heap events
-    // in global tick order. On a tie the calendar goes first -- its
-    // draws correspond to processor-ready events that were scheduled
-    // a full processor cycle earlier than any same-tick heap event
-    // and therefore carry the smallest sequence numbers. The heap's
-    // next tick is cached and refreshed only when the heap actually
-    // changes (a think pass can only add events, growing size()).
-    EventQueue &queue = sim_.queue();
-    Tick te = kNever;
+    // Driver: jump to the earliest tick holding think draws or
+    // scheduled events. The think calendar goes first on a tie: its
+    // draws are processor-ready updates booked a full processor cycle
+    // earlier than anything else due at the tick.
     while (true) {
         const Tick tc = thinkingCount_ > 0 ? thinkNextDue_ : kNever;
-        const Tick next = std::min(tc, te);
-        if (next >= windowEnd_)
+        const Tick now = std::min(tc, nextScheduled());
+        if (now >= windowEnd_)
             break;
-        if (tc <= te) {
-            const std::uint64_t live = queue.size();
-            queue.advanceTo(tc);
-            processThinkTick(tc, thinkNextIdx_);
-            if (queue.size() != live)
-                te = queue.nextTick();
-        } else {
-            queue.runOne();
-            te = !queue.empty() ? queue.nextTick() : kNever;
-        }
+        now_ = now;
+        if (tc == now)
+            processThinkTick(now, thinkNextIdx_);
+        dispatchDue(now);
+    }
+}
+
+Tick
+SingleBusSystem::nextScheduled() const
+{
+    Tick next = std::min(busCycleAt_, arbitrationAt_);
+    if (completionCount_ != 0)
+        next = std::min(next, completions_[completionHead_].due);
+    return next;
+}
+
+void
+SingleBusSystem::dispatchDue(Tick now)
+{
+    // Nothing run here schedules anything due at this tick except
+    // the idle-bus arbitration, which runs last.
+    while (completionCount_ != 0 &&
+           completions_[completionHead_].due == now) {
+        const int module = completions_[completionHead_].module;
+        if (++completionHead_ == completions_.size())
+            completionHead_ = 0;
+        --completionCount_;
+        ++dispatched_;
+        memoryCompletion(module);
+    }
+    if (busCycleAt_ == now) {
+        busCycleAt_ = kNever;
+        ++dispatched_;
+        busCycle();
+    }
+    if (arbitrationAt_ == now) {
+        arbitrationAt_ = kNever;
+        ++dispatched_;
+        arbitrate();
     }
 }
 
@@ -742,8 +766,7 @@ SingleBusSystem::run()
     // Flush the run's locally accumulated counts in one batch; the
     // inner loops never touch the telemetry registry.
     telemetryAdd(TelemetryCounter::SimRuns, 1);
-    telemetryAdd(TelemetryCounter::SimHeapEvents,
-                 sim_.queue().executed());
+    telemetryAdd(TelemetryCounter::SimHeapEvents, dispatched_);
     telemetryAdd(TelemetryCounter::SimCalendarDrains, calendarDrains_);
     telemetryAdd(TelemetryCounter::SimThinkDraws, thinkDraws_);
     telemetryAdd(TelemetryCounter::SimRequestsIssued, issued_);

@@ -12,23 +12,34 @@
  * runs only in cycles where a grant could happen, and quiescent spans
  * (all processors thinking / all modules accessing) are skipped.
  *
- * Event schedule within one tick:
- *   priority kUpdate: transfer deliveries, memory completions,
- *                     processor think-expiries -- all state updates;
- *   priority kDecide: bus arbitration, which therefore observes a
- *                     consistent end-of-cycle state.
+ * The system is synchronous to the bus cycle, so every scheduled
+ * event lands at a fixed stride and needs no general event queue:
+ *   - a memory completion at access start + r, kept in a FIFO ring
+ *     (accesses start at the monotone current tick and all last r,
+ *     so schedule order is due order);
+ *   - the coalesced bus cycle (transfer done, then arbitrate) at
+ *     grant + 1, one slot;
+ *   - the idle-bus arbitration at the current tick, one slot.
  *
- * The kernel is the cycle-skipping implementation introduced in PR 3
- * (the classic one-event-per-think-cycle kernel it was differentially
- * tested against is retired; the golden Metrics pins in
- * tests/golden/kernel_metrics*.txt are the regression net now):
- * thinking processors sit in a calendar of processorCycle()
- * tick-buckets processed by a hybrid driver loop outside the event
- * heap, so a think redraw costs one Bernoulli and O(1) bucket work
- * instead of a heap operation; arbitration candidates are bit-sets
- * maintained incrementally at the state transitions that change
- * eligibility; and the post-grant transfer-done/arbitrate pair shares
- * one coalesced event.
+ * Order within one tick:
+ *   1. think-calendar draws (processor-ready updates);
+ *   2. memory completions due now, in schedule order;
+ *   3. the bus cycle;
+ *   4. the idle-bus arbitration, which therefore observes a
+ *      consistent end-of-cycle state.
+ * Same-tick updates (2 and 3) run in the order they were scheduled;
+ * the shared-RNG draw order, and so every golden pin, depends on it.
+ * Completions can go first because none is ever scheduled onto a
+ * tick whose bus cycle is already pending (asserted where
+ * completions are scheduled; tests/golden/kernel_metrics_r1.txt pins
+ * r = 1, where the two share ticks).
+ *
+ * Thinking processors sit in a calendar of processorCycle()
+ * tick-buckets drained by the driver loop, so a think redraw costs
+ * one Bernoulli and O(1) bucket work; arbitration candidates are
+ * bit-sets maintained incrementally at the state transitions that
+ * change eligibility. The golden Metrics pins in
+ * tests/golden/kernel_metrics*.txt are the regression net.
  *
  * Which module a request targets and how eagerly each processor
  * issues is owned by the WorkloadModel (workload/workload.hh). The
@@ -41,11 +52,11 @@
 #define SBN_CORE_SYSTEM_HH
 
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "core/config.hh"
 #include "core/metrics.hh"
-#include "desim/simulation.hh"
 #include "desim/trace.hh"
 #include "util/index_set.hh"
 #include "util/random.hh"
@@ -69,14 +80,11 @@ class SingleBusSystem
     /** The configuration this system was built with. */
     const SystemConfig &config() const { return cfg_; }
 
-    /** Current simulated bus cycle (exposed for tests). */
-    Tick now() const { return sim_.now(); }
-
-    /** Heap events executed so far (perf accounting). */
-    std::uint64_t heapEventsExecuted() const
-    {
-        return sim_.queue().executed();
-    }
+    /**
+     * Scheduled events dispatched so far: memory completions, bus
+     * cycles and idle-bus arbitrations (perf accounting).
+     */
+    std::uint64_t eventsDispatched() const { return dispatched_; }
 
     /** Bernoulli think/issue draws performed (perf accounting). */
     std::uint64_t thinkDraws() const { return thinkDraws_; }
@@ -96,10 +104,6 @@ class SingleBusSystem
         WaitingGrant,    //!< request issued, waiting for the bus
         WaitingResponse, //!< request in the memory subsystem
     };
-
-    /** Event type: no allocation, no type-erased callback, just
-     *  (system, member function, index). */
-    using SysEvent = MemberEvent<SingleBusSystem>;
 
     struct Processor
     {
@@ -137,7 +141,13 @@ class SingleBusSystem
         int reservedInput = 0; //!< granted requests still on the bus
 
         Tick accessStart = 0;
-        SysEvent completionEvent;
+    };
+
+    /** A pending memory completion. */
+    struct Completion
+    {
+        Tick due;
+        int module;
     };
 
     /** The transfer currently occupying the bus. */
@@ -153,12 +163,10 @@ class SingleBusSystem
     void memoryCompletion(int module);
     void transferDone();
     void arbitrate();
+    void busCycle();
 
-    // MemberEvent adapters for the no-index handlers.
-    void onArbitrate(int) { arbitrate(); }
-    void onBusCycle(int);
-
-    void requestArbitration(Tick at);
+    void requestArbitration();
+    void scheduleCompletion(int module);
     bool moduleCanAcceptRequest(const Module &mod) const;
     bool moduleHasResponse(const Module &mod) const;
     void maybeStartBufferedAccess(int module);
@@ -175,6 +183,8 @@ class SingleBusSystem
 
     // --- cycle-skip kernel --------------------------------------------
     void runCycleSkip();
+    Tick nextScheduled() const;
+    void dispatchDue(Tick now);
     void processThinkTick(Tick now, std::size_t bucket_idx);
     void refreshNextThink(Tick now, std::size_t r0);
     void enterThinking(int proc, Tick now);
@@ -193,8 +203,9 @@ class SingleBusSystem
     void noteQueueDepth(int module, Tick now, int delta);
     void finishPerModule(Metrics &out);
 
+    static constexpr Tick kNever = std::numeric_limits<Tick>::max();
+
     SystemConfig cfg_;
-    Simulation sim_;
     RandomGenerator rng_;
     WorkloadModel workload_;
 
@@ -202,10 +213,25 @@ class SingleBusSystem
     std::vector<Module> mods_;
 
     BusTransfer busTransfer_;
-    SysEvent arbitrationEvent_;  //!< idle-bus wakeups
-    SysEvent busCycleEvent_;     //!< coalesced transfer+arbitrate
     bool inArbitration_ = false; //!< guards re-entrant rescheduling
-    bool inBusCycle_ = false;    //!< transfer phase of busCycleEvent_
+    bool inBusCycle_ = false;    //!< transfer phase of busCycle()
+
+    // --- fixed-stride schedule ----------------------------------------
+    Tick now_ = 0;
+    std::uint64_t dispatched_ = 0;
+
+    /**
+     * Pending memory completions, a FIFO ring of numModules slots
+     * (a module runs at most one access at a time). Every access
+     * starts at the current tick and lasts exactly r, so push order
+     * is due order.
+     */
+    std::vector<Completion> completions_;
+    std::size_t completionHead_ = 0;
+    std::size_t completionCount_ = 0;
+
+    Tick busCycleAt_ = kNever;    //!< coalesced transfer+arbitrate
+    Tick arbitrationAt_ = kNever; //!< idle-bus wakeup
 
     /**
      * Think calendar: bucket b holds, in event order, the thinking

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "desim/event.hh"
+#include "core/config.hh"
 
 namespace sbn {
 

@@ -42,7 +42,9 @@ namespace sbn {
 enum class TelemetryCounter : unsigned
 {
     SimRuns,              //!< kernel run() calls completed
-    SimHeapEvents,        //!< CycleSkip event-heap dispatches
+    SimHeapEvents,        //!< CycleSkip scheduled-event dispatches
+                          //!< (completions, bus cycles, idle-bus
+                          //!< arbitrations)
     SimCalendarDrains,    //!< CycleSkip think-calendar bucket drains
     SimThinkDraws,        //!< think/issue draws (both kernels)
     SimRequestsIssued,    //!< in-window requests issued

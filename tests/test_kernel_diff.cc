@@ -221,7 +221,7 @@ TEST(KernelGrid, RunsAreDeterministic)
 
 /**
  * The cycle-skipping calendar's reason to exist: in the low-p regime
- * thinking must not cost heap events. The bound (0.5 events/cycle)
+ * thinking must not cost scheduled events. The bound (0.5 events/cycle)
  * is ~40% above the measured 0.36 for this shape; the Classic kernel
  * sat at ~2 events/cycle.
  */
@@ -239,7 +239,7 @@ TEST(KernelGridExtras, LowPHeapEventsStaySparse)
 
     EXPECT_GT(system.thinkDraws(), 0u);
     const double events_per_cycle =
-        static_cast<double>(system.heapEventsExecuted()) /
+        static_cast<double>(system.eventsDispatched()) /
         static_cast<double>(cfg.measureCycles);
     EXPECT_LT(events_per_cycle, 0.5);
 }

@@ -186,7 +186,7 @@ TEST(GoldenKernelMetrics, CycleSkipPinnedSameTickOrderAtR1)
                 {key + " meanWait", exact(metrics.meanWaitCycles)});
             computed.push_back(
                 {key + " dispatches",
-                 exact(system.heapEventsExecuted())});
+                 exact(system.eventsDispatched())});
         }
     }
     checkExactGolden("kernel_metrics_r1", computed);
