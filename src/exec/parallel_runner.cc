@@ -251,8 +251,13 @@ ParallelRunner::mapConfigsStreamedSubset(
 ParallelRunner &
 sharedParallelRunner(unsigned threads)
 {
+    // Never destroyed: a forked child (shard worker, death test) that
+    // leaves through std::exit would otherwise run the destructors of
+    // pools whose threads did not survive fork() and block forever on
+    // their condition variable.
     static std::mutex registry_mutex;
-    static std::map<unsigned, std::unique_ptr<ParallelRunner>> registry;
+    static auto &registry =
+        *new std::map<unsigned, std::unique_ptr<ParallelRunner>>();
 
     const unsigned resolved =
         threads != 0 ? threads : ThreadPool::hardwareThreads();

@@ -216,7 +216,8 @@ class ParallelRunner
 
 /**
  * Process-wide shared runner with @p threads workers (0 = hardware),
- * created on first use and kept for the process lifetime. The stats-
+ * created on first use and never destroyed (so a forked child's exit
+ * never tears down a pool whose threads it did not inherit). The stats-
  * and core-layer replication helpers route through this so repeated
  * calls at the same worker count reuse one pool instead of spawning
  * and joining threads per call. Safe for concurrent top-level use

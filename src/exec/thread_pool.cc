@@ -21,10 +21,14 @@ ThreadPool::~ThreadPool()
     // Fork safety: in a forked child (shard --spawn workers, death
     // tests) the worker threads do not exist - only the forking
     // thread survives fork() - and the mutex/condvar state is
-    // whatever the parent's threads left mid-flight. Touching either
-    // or joining the phantom std::thread handles would deadlock the
-    // child's exit path, so detach the handles and walk away; the
-    // parent still owns and joins the real threads.
+    // whatever the parent's threads left mid-flight. Joining the
+    // phantom std::thread handles would deadlock, so detach them and
+    // skip the join; the parent still owns and joins the real
+    // threads. This does not make destruction safe: the members'
+    // destructors still run, and destroying a condition variable the
+    // vanished workers were waiting on blocks forever. A child must
+    // therefore never destroy an inherited pool, which is why the
+    // shared runners (sharedParallelRunner) are never destroyed.
     if (getpid() != ownerPid_) {
         for (auto &worker : workers_)
             worker.detach();

@@ -103,19 +103,27 @@ parseFaultPlan(const std::string &text, FaultPlan &out, std::string &error)
         if (key == "shard") {
             if (value == "any") {
                 plan.shard = kFaultAnyShard;
-            } else if (parseClauseValue(value, number)) {
+            } else if (parseClauseValue(value, number) &&
+                       number < kFaultNoShard) {
                 plan.shard = static_cast<std::size_t>(number);
             } else {
-                error = "shard= needs an index or 'any': " + clause;
+                // The two largest values are the 'any' and
+                // non-worker sentinels, not indices.
+                error = "shard= needs an index below " +
+                        std::to_string(kFaultNoShard) + " or 'any': " +
+                        clause;
                 return false;
             }
         } else if (key == "attempt") {
             if (value == "any") {
                 plan.attempt = kFaultAnyAttempt;
-            } else if (parseClauseValue(value, number)) {
+            } else if (parseClauseValue(value, number) &&
+                       number < kFaultAnyAttempt) {
                 plan.attempt = static_cast<unsigned>(number);
             } else {
-                error = "attempt= needs a number or 'any': " + clause;
+                error = "attempt= needs a number below " +
+                        std::to_string(kFaultAnyAttempt) + " or 'any': " +
+                        clause;
                 return false;
             }
         } else if (key == "kill_after_records") {

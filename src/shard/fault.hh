@@ -15,6 +15,8 @@
  *                              matches every process, including the
  *                              orchestrator (needed by
  *                              abort_in_merge). Default: any.
+ *                              K must be below kFaultNoShard: the
+ *                              two largest values are sentinels.
  *   attempt=A | attempt=any    which launch attempt fires the fault
  *                              (0 = the first). A supervised respawn
  *                              raises the attempt, so the default
@@ -22,6 +24,7 @@
  *                              and the retry runs clean; attempt=any
  *                              crashes every attempt, which is how
  *                              retry-budget exhaustion is tested.
+ *                              A must be below kFaultAnyAttempt.
  *   kill_after_records=K       after appending the K-th record, die
  *                              by SIGKILL (no cleanup, no flushed
  *                              buffers - the honest crash).

@@ -8,9 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <csignal>
+#include <cstdio>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -19,6 +26,7 @@
 #include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
 #include "stats/replication.hh"
+#include "util/logging.hh"
 #include "util/random.hh"
 
 namespace sbn {
@@ -667,6 +675,44 @@ TEST(ParallelRunner, StaysUsableAfterWorkerException)
             runner.runReplications(noisyExperiment, 5, 11);
         EXPECT_EQ(e.samples, 5u);
     }
+}
+
+/**
+ * A forked child inherits the shared runners' pools but none of
+ * their threads. Leaving through sbn_fatal runs static destructors
+ * (std::exit), and destroying such a pool blocks forever on its
+ * condition variable - which is how one earlier multi-thread test
+ * used to hang every later supervisor test of a one-process run. The
+ * child runs under a deadline so a regression fails instead of
+ * hanging.
+ */
+TEST(ParallelRunner, ForkedChildExitsDespiteInheritedSharedPool)
+{
+    const auto squares = sharedParallelRunner(2).map<int>(
+        16, [](std::size_t i) { return static_cast<int>(i * i); });
+    ASSERT_EQ(squares.size(), 16u);
+
+    std::fflush(nullptr);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0)
+        sbn_fatal("expected: forked child exits through the fatal path");
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    int status = 0;
+    pid_t reaped = 0;
+    while ((reaped = ::waitpid(child, &status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (reaped == 0) {
+        ::kill(child, SIGKILL);
+        ::waitpid(child, &status, 0);
+        FAIL() << "forked child still running 10 s after sbn_fatal";
+    }
+    ASSERT_EQ(reaped, child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
 }
 
 TEST(Exec, DefaultThreadsOverrideRoundTrips)

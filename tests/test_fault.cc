@@ -8,8 +8,11 @@
  *
  * The supervisor forks real worker processes from the test binary;
  * worker bodies run single-threaded (sharedParallelRunner(1) is the
- * inline path), so a forked child never touches a thread pool whose
- * threads died at fork.
+ * inline path). A child still inherits any multi-thread shared pool
+ * an earlier test created, without its threads; the shared runners
+ * are never destroyed, so a worker leaving through sbn_fatal's
+ * std::exit does not block on one (ParallelRunner.
+ * ForkedChildExitsDespiteInheritedSharedPool).
  */
 
 #include <gtest/gtest.h>
@@ -177,6 +180,14 @@ TEST(FaultPlanParse, AcceptsTheDocumentedClauses)
     ASSERT_TRUE(parseFaultPlan("abort_in_merge", plan, error))
         << error;
     EXPECT_TRUE(plan.abortInMerge);
+
+    // The largest values that are not sentinels.
+    ASSERT_TRUE(parseFaultPlan(
+        "shard=18446744073709551613,attempt=4294967294,abort_in_merge",
+        plan, error))
+        << error;
+    EXPECT_EQ(plan.shard, kFaultNoShard - 1);
+    EXPECT_EQ(plan.attempt, kFaultAnyAttempt - 1);
 }
 
 TEST(FaultPlanParse, RejectsMalformedSpecs)
@@ -192,6 +203,12 @@ TEST(FaultPlanParse, RejectsMalformedSpecs)
         "shard=1",                      // selectors only, no action
         "abort_in_merge=1",             // flag clause takes no value
         "explode=now",                  // unknown clause
+        // Out of range, or a sentinel spelled as a number.
+        "attempt=4294967296,kill_after_records=1", // wraps to 0
+        "attempt=4294967295,kill_after_records=1", // == any
+        "shard=18446744073709551615,kill_after_records=1", // == any
+        "shard=18446744073709551614,kill_after_records=1", // no-shard
+        "shard=18446744073709551616,kill_after_records=1", // overflow
     };
     for (const char *text : bad) {
         EXPECT_FALSE(parseFaultPlan(text, plan, error)) << text;

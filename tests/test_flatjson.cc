@@ -31,6 +31,7 @@
 #include "service/journal.hh"
 #include "service/metrics.hh"
 #include "service/protocol.hh"
+#include "shard/fault.hh"
 #include "shard/result_io.hh"
 #include "stats/histogram.hh"
 #include "telemetry/telemetry.hh"
@@ -742,6 +743,36 @@ TEST(FlatJson, MutatedPinsNeverCrashAndReachAFixedPoint)
     EXPECT_GT(check.journal, 40u);
     EXPECT_GT(check.requests, 150u);
     EXPECT_GT(check.spans, 35u);
+
+    // SBN_FAULT specs through the same mutator. The grammar is not
+    // JSON and has no writer, so the property is weaker: no crash, a
+    // reason for every refusal, and no accepted plan that targets
+    // the non-worker scope (a sentinel spelled as a number).
+    const std::vector<std::string> faultPins = {
+        "shard=1,attempt=2,kill_after_records=3,truncate_tail=40",
+        "shard=any,attempt=any,hang_after_records=2",
+        "shard=18446744073709551613,attempt=4294967294,fail_write_at=5",
+        "abort_in_merge",
+        "crash_after_journal=merging",
+        "attempt=any,crash_in_merge",
+        "stall_accept",
+    };
+    std::size_t faults = 0;
+    for (int i = 0; i < kMutants / 4; ++i) {
+        std::string spec = faultPins[rng() % faultPins.size()];
+        for (int edits = 1 + static_cast<int>(rng() % 3); edits > 0;
+             --edits)
+            mutate(spec, rng, faultPins);
+        FaultPlan plan;
+        std::string error;
+        if (parseFaultPlan(spec, plan, error)) {
+            ++faults;
+            EXPECT_NE(plan.shard, kFaultNoShard) << spec;
+        } else {
+            EXPECT_FALSE(error.empty()) << spec;
+        }
+    }
+    EXPECT_GT(faults, 100u);
 }
 
 } // namespace
