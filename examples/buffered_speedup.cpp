@@ -1,8 +1,8 @@
 /**
  * @file
  * Buffering study: quantify what the Section-6 input/output buffers
- * buy across the memory/bus speed ratio, including the waiting-time
- * distribution shift.
+ * buy across the memory/bus speed ratio, including the shift in the
+ * wait from issue to service start.
  *
  *   ./buffered_speedup --n=8 --m=16 --rs=4,8,12,16,20,24
  */
@@ -28,7 +28,8 @@ main(int argc, char **argv)
          {"p", "request probability (default 1.0)"},
          {"threads", "worker threads for the sweep (default: all "
                      "hardware threads)"},
-         {"histogram", "also print waiting histograms at the last r"}});
+         {"histogram", "also print wait (issue to service start) "
+                       "histograms at the last r"}});
 
     const int n = static_cast<int>(cli.getInt("n", 8));
     const int m = static_cast<int>(cli.getInt("m", 16));
@@ -96,12 +97,13 @@ main(int argc, char **argv)
             cfg.memoryRatio = r;
             cfg.requestProbability = p;
             cfg.buffered = buffered;
-            cfg.collectWaitHistogram = true;
+            cfg.collectLatency = true;
             cfg.measureCycles = 300000;
             const Metrics metrics = runOnce(cfg);
-            std::printf("\nwaiting-time histogram, r=%d, %s:\n%s", r,
-                        buffered ? "buffered" : "plain",
-                        metrics.waitHistogram->render().c_str());
+            std::printf("\nwait from issue to service start, r=%d, "
+                        "%s:\n%s",
+                        r, buffered ? "buffered" : "plain",
+                        metrics.latencyWait->render().c_str());
         }
     }
 

@@ -29,7 +29,8 @@ main(int argc, char **argv)
          {"buffered", "enable Section-6 memory buffers"},
          {"cycles", "measured bus cycles (default 400000)"},
          {"seed", "RNG seed (default 1)"},
-         {"histogram", "print the waiting-time histogram"}});
+         {"histogram", "print the wait (issue to service start) "
+                       "histogram"}});
 
     SystemConfig cfg;
     cfg.numProcessors = static_cast<int>(cli.getInt("n", 8));
@@ -42,7 +43,7 @@ main(int argc, char **argv)
     cfg.buffered = cli.getBool("buffered", false);
     cfg.measureCycles = static_cast<Tick>(cli.getInt("cycles", 400000));
     cfg.seed = static_cast<std::uint64_t>(cli.getInt("seed", 1));
-    cfg.collectWaitHistogram = cli.getBool("histogram", false);
+    cfg.collectLatency = cli.getBool("histogram", false);
 
     std::printf("multiplexed single-bus system: n=%d processors, m=%d "
                 "modules, r=%d, p=%.2f,\n%s priority, %s\n\n",
@@ -79,9 +80,10 @@ main(int argc, char **argv)
                 "(95%% CI)\n",
                 est.mean, est.halfWidth);
 
-    if (m.waitHistogram) {
-        std::printf("\nwaiting time distribution (bus cycles):\n%s",
-                    m.waitHistogram->render().c_str());
+    if (m.latencyWait) {
+        std::printf("\nwait from issue to service start (bus "
+                    "cycles):\n%s",
+                    m.latencyWait->render().c_str());
     }
     return 0;
 }

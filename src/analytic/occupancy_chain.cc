@@ -6,8 +6,6 @@
 #include <mutex>
 #include <tuple>
 
-#include "analytic/disk_cache.hh"
-#include "core/fingerprint.hh"
 #include "util/combinatorics.hh"
 #include "util/logging.hh"
 
@@ -216,66 +214,6 @@ OccupancyChain::solve()
     return result;
 }
 
-namespace {
-
-std::uint64_t
-occupancyChainFingerprint(int n, int m, int cap)
-{
-    // Version tag first: bump on any change to the chain's dynamics
-    // or the cached payload layout.
-    std::uint64_t state =
-        fingerprintMix(0xcbf29ce484222325ull, 0x4f43432e76303100ull);
-    state = fingerprintMix(state, static_cast<std::uint64_t>(n));
-    state = fingerprintMix(state, static_cast<std::uint64_t>(m));
-    state = fingerprintMix(state, static_cast<std::uint64_t>(cap));
-    return state;
-}
-
-/**
- * Solve (n, m, cap) through the SBN_CACHE_DIR disk cache
- * (analytic/disk_cache.hh): state enumeration is cheap and rebuilt
- * either way; the transition enumeration and the linear solve - the
- * expensive parts - are skipped on a disk hit. Payload layout:
- * meanBusy, meanServiced, busyPmf, pi.
- */
-OccupancyChainResult
-solveWithDiskCache(int n, int m, int cap)
-{
-    OccupancyChain chain(n, m, cap);
-    const std::size_t pmf_size =
-        static_cast<std::size_t>(std::min(n, m)) + 1;
-    const std::size_t payload_size =
-        2 + pmf_size + chain.numStates();
-    const std::uint64_t fp = occupancyChainFingerprint(n, m, cap);
-
-    std::vector<double> payload;
-    if (loadCachedSolve("occ", fp, payload_size, payload)) {
-        OccupancyChainResult result;
-        result.states = chain.states();
-        result.meanBusy = payload[0];
-        result.meanServiced = payload[1];
-        result.busyPmf.assign(
-            payload.begin() + 2,
-            payload.begin() + 2 + static_cast<std::ptrdiff_t>(pmf_size));
-        result.pi.assign(payload.begin() + 2 +
-                             static_cast<std::ptrdiff_t>(pmf_size),
-                         payload.end());
-        return result;
-    }
-
-    OccupancyChainResult result = chain.solve();
-    payload.clear();
-    payload.push_back(result.meanBusy);
-    payload.push_back(result.meanServiced);
-    payload.insert(payload.end(), result.busyPmf.begin(),
-                   result.busyPmf.end());
-    payload.insert(payload.end(), result.pi.begin(), result.pi.end());
-    storeCachedSolve("occ", fp, payload);
-    return result;
-}
-
-} // namespace
-
 const OccupancyChainResult &
 solveOccupancyChainCached(int n, int m, int cap)
 {
@@ -295,7 +233,7 @@ solveOccupancyChainCached(int n, int m, int cap)
     // solved concurrently; a losing racer on the same key discards
     // its (identical, deterministic) copy.
     auto solved = std::make_unique<OccupancyChainResult>(
-        solveWithDiskCache(n, m, cap));
+        OccupancyChain(n, m, cap).solve());
 
     std::lock_guard<std::mutex> lock(cache_mutex);
     const auto [it, inserted] = cache.emplace(key, std::move(solved));

@@ -129,10 +129,6 @@ class OccupancyChain
  * the same handful of shapes over and over, so the analytic model
  * entry points route through this cache.
  *
- * When SBN_CACHE_DIR is set the solve also persists to disk
- * (analytic/disk_cache.hh), so repeated bench *invocations* skip the
- * transition enumeration and linear solve too.
- *
  * Thread-safe; the returned reference lives for the process.
  */
 const OccupancyChainResult &solveOccupancyChainCached(int n, int m,

@@ -20,8 +20,6 @@ namespace sbn {
  */
 using Tick = std::uint64_t;
 
-class TraceSink;
-
 /**
  * Bus-grant policy when both processor requests and memory responses
  * compete for the next bus cycle (paper hypothesis (g)).
@@ -130,17 +128,13 @@ struct SystemConfig
     Tick warmupCycles = 20000; //!< cycles discarded before measuring
     Tick measureCycles = 200000; //!< measured window length
 
-    /** Collect a waiting-time histogram (costs a little time). */
-    bool collectWaitHistogram = false;
-
     /**
      * Collect per-module breakdowns (Metrics::perModule*): busy
      * cycles/utilization and queue-depth time-average/max per memory
      * module. Purely passive accounting - it consumes no RNG and
      * changes no trajectory, so enabling it leaves every other metric
-     * (and every golden pin) bit-identical. Like
-     * collectWaitHistogram, it does not fold into the config
-     * fingerprint.
+     * (and every golden pin) bit-identical, and it does not fold
+     * into the config fingerprint.
      */
     bool collectPerModule = false;
 
@@ -155,12 +149,6 @@ struct SystemConfig
      * fingerprint.
      */
     bool collectLatency = false;
-
-    /**
-     * Optional event tracing (categories: "proc", "bus", "mem").
-     * Not owned; must outlive the system. nullptr disables tracing.
-     */
-    TraceSink *trace = nullptr;
 
     /** Processor cycle length r + 2 in bus cycles. */
     int processorCycle() const { return memoryRatio + 2; }

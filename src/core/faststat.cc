@@ -4,21 +4,12 @@
 #include <limits>
 
 #include "core/fingerprint.hh"
-#include "desim/trace.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 
 namespace sbn {
 
 namespace {
-
-/** Compose "proc 3 -> module 5"-style trace text. */
-template <typename... Args>
-std::string
-traceText(Args &&...args)
-{
-    return detail::composeMessage(std::forward<Args>(args)...);
-}
 
 constexpr Tick kNever = std::numeric_limits<Tick>::max();
 
@@ -68,9 +59,6 @@ FastStatSystem::FastStatSystem(const SystemConfig &config)
     windowStart_ = cfg_.warmupCycles;
     windowEnd_ = cfg_.warmupCycles + cfg_.measureCycles;
     perProcCompleted_.assign(n, 0);
-    if (cfg_.collectWaitHistogram) {
-        waitHist_.emplace(0.0, 20.0 * static_cast<double>(pc_), 200);
-    }
     if (cfg_.collectPerModule) {
         perModBusy_.assign(m, 0);
         perModDepth_.assign(m, 0);
@@ -199,11 +187,6 @@ FastStatSystem::processorReady(int proc, Tick now)
     if (k > (windowEnd_ - now) / static_cast<std::uint64_t>(pc_))
         return;
     const Tick due = now + static_cast<Tick>(k) * pc_;
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "proc",
-                           traceText("proc ", proc, " thinks until ",
-                                     due));
-    }
     pushThinkWake(due, proc);
 }
 
@@ -215,11 +198,6 @@ FastStatSystem::issue(int proc, Tick now)
     const int target = workload_.sampleTarget(proc, procRng_[idx]);
     procTarget_[idx] = target;
     procIssueTick_[idx] = now;
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "proc",
-                           traceText("proc ", proc,
-                                     " issues to module ", target));
-    }
     if (inWindow(now))
         ++issued_;
     procBecomesWaiting(proc, target);
@@ -232,12 +210,6 @@ void
 FastStatSystem::memoryCompletion(int module, Tick now)
 {
     const auto idx = static_cast<std::size_t>(module);
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "mem",
-                           traceText("module ", module,
-                                     " completes access for proc ",
-                                     modServing_[idx]));
-    }
     if constexpr (!Buffered) {
         sbn_debug_assert(modState_[idx] == ModState::Accessing,
                    "completion on non-accessing module");
@@ -277,12 +249,6 @@ FastStatSystem::maybeStartBufferedAccess(int module, Tick now)
             now;
     if (cfg_.collectPerModule)
         noteQueueDepth(module, now, -1);
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "mem",
-                           traceText("module ", module,
-                                     " starts access for proc ",
-                                     modServing_[idx]));
-    }
     scheduleCompletion(module,
                        now + static_cast<Tick>(cfg_.memoryRatio));
     refreshModule(module);
@@ -367,11 +333,6 @@ FastStatSystem::grantRequest(int proc, Tick now)
 
     waiterSets_[tgt].erase(idx);
     candProcSet_.erase(idx);
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "bus",
-                           traceText("grant request proc ", proc,
-                                     " -> module ", target));
-    }
 
     if constexpr (!Buffered) {
         sbn_debug_assert(modState_[tgt] == ModState::Idle,
@@ -391,12 +352,6 @@ FastStatSystem::grantRequest(int proc, Tick now)
         modAccessStart_[tgt] = arrive;
         if (cfg_.collectLatency)
             procServiceStart_[idx] = arrive;
-        if (cfg_.trace) {
-            cfg_.trace->record(arrive, "mem",
-                               traceText("module ", target,
-                                         " starts access for proc ",
-                                         proc));
-        }
         scheduleCompletion(
             target, arrive + static_cast<Tick>(cfg_.memoryRatio));
     } else {
@@ -437,15 +392,6 @@ FastStatSystem::grantResponse(int module, Tick now)
         maybeStartBufferedAccess(module, now);
     }
 
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "bus",
-                           traceText("grant response module ", module,
-                                     " -> proc ", proc));
-        cfg_.trace->record(now + 1, "proc",
-                           traceText("proc ", proc,
-                                     " receives response from module ",
-                                     module));
-    }
     recordCompletion(proc, now);
     processorReady(proc, now + 1);
 }
@@ -469,8 +415,6 @@ FastStatSystem::recordCompletion(int proc, Tick grant_tick)
         waitMin_ = wait;
     if (wait > waitMax_)
         waitMax_ = wait;
-    if (waitHist_)
-        waitHist_->add(static_cast<double>(wait));
     if (latWaitHist_) {
         latWaitHist_->add(static_cast<double>(
             procServiceStart_[static_cast<std::size_t>(proc)] -
@@ -642,7 +586,6 @@ FastStatSystem::run()
         completed_ != 0 ? waitStats.mean() + pc : 0.0;
     out.waitStats = waitStats;
     out.perProcessorCompletions = perProcCompleted_;
-    out.waitHistogram = waitHist_;
     out.latencyWait = latWaitHist_;
     out.latencyResidence = latResidenceHist_;
     if (cfg_.collectPerModule)

@@ -220,7 +220,6 @@ class FastStatSystem
     std::uint64_t waitMax_ = 0;
 
     std::vector<std::uint64_t> perProcCompleted_;
-    std::optional<Histogram> waitHist_;
 
     /**
      * Latency distributions (cfg_.collectLatency), mirroring the

@@ -5,10 +5,10 @@
  * A fingerprint is a 64-bit FNV-1a hash over every SystemConfig field
  * that determines simulation *results*: grid coordinates, policies,
  * buffering, the full workload description, seed and window lengths.
- * Presentation-only fields (trace sink, wait-histogram toggle) are
- * excluded. The leading version tag is SBNFPV02 (the workload layer
- * replaced the bare moduleWeights vector; V01 records never match
- * and are discarded on resume).
+ * Presentation-only fields (the per-module and latency collection
+ * toggles) are excluded. The leading version tag is SBNFPV02 (the
+ * workload layer replaced the bare moduleWeights vector; V01 records
+ * never match and are discarded on resume).
  *
  * Fingerprints identify grid points across processes, hosts and
  * repository revisions (they are pure arithmetic over field values,

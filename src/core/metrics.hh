@@ -96,9 +96,6 @@ struct Metrics
     /** Completions per processor, for fairness checks. */
     std::vector<std::uint64_t> perProcessorCompletions;
 
-    /** Optional waiting-time histogram (config.collectWaitHistogram). */
-    std::optional<Histogram> waitHistogram;
-
     // Per-module breakdowns (config.collectPerModule); empty vectors
     // otherwise. Additive and passively collected: enabling them
     // changes no other field.

@@ -7,18 +7,6 @@
 
 namespace sbn {
 
-namespace {
-
-/** Compose "proc 3 -> module 5"-style trace text. */
-template <typename... Args>
-std::string
-traceText(Args &&...args)
-{
-    return detail::composeMessage(std::forward<Args>(args)...);
-}
-
-} // namespace
-
 SingleBusSystem::SingleBusSystem(const SystemConfig &config)
     : cfg_(config), rng_(config.seed),
       // cfg_ precedes workload_ in declaration order; validate before
@@ -33,11 +21,6 @@ SingleBusSystem::SingleBusSystem(const SystemConfig &config)
     windowStart_ = cfg_.warmupCycles;
     windowEnd_ = cfg_.warmupCycles + cfg_.measureCycles;
     perProcCompleted_.assign(cfg_.numProcessors, 0);
-    if (cfg_.collectWaitHistogram) {
-        waitHist_.emplace(0.0,
-                          20.0 * static_cast<double>(cfg_.processorCycle()),
-                          200);
-    }
 
     // Pre-size every container the hot path touches so steady-state
     // simulation performs no allocations (asserted by the perf tests
@@ -194,11 +177,6 @@ SingleBusSystem::drawProcessor(int proc, Tick now)
         p.state = ProcState::WaitingGrant;
         p.target = workload_.sampleTarget(proc, rng_);
         p.issueTick = now;
-        if (cfg_.trace) {
-            cfg_.trace->record(now, "proc",
-                               traceText("proc ", proc, " issues to module ",
-                                         p.target));
-        }
         if (inWindow(now))
             ++issued_;
         procBecomesWaiting(proc, p.target);
@@ -213,12 +191,6 @@ SingleBusSystem::drawProcessor(int proc, Tick now)
     // (hypothesis (f): requests only start on processor-cycle
     // boundaries).
     p.state = ProcState::Thinking;
-    if (cfg_.trace) {
-        cfg_.trace->record(
-            now, "proc",
-            traceText("proc ", proc, " thinks until ",
-                      now + static_cast<Tick>(cfg_.processorCycle())));
-    }
     return false;
 }
 
@@ -333,12 +305,6 @@ SingleBusSystem::memoryCompletion(int module)
     const Tick now = now_;
     Module &mod = mods_[module];
 
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "mem",
-                           traceText("module ", module,
-                                     " completes access for proc ",
-                                     mod.servingProc));
-    }
     if (!cfg_.buffered) {
         sbn_assert(mod.state == ModState::Accessing,
                    "completion on non-accessing module");
@@ -378,12 +344,6 @@ SingleBusSystem::maybeStartBufferedAccess(int module)
             now;
     if (cfg_.collectPerModule)
         noteQueueDepth(module, now, -1);
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "mem",
-                           traceText("module ", module,
-                                     " starts access for proc ",
-                                     mod.servingProc));
-    }
     scheduleCompletion(module);
     refreshModule(module);
     // An input slot freed: a waiting processor may now be eligible.
@@ -408,12 +368,6 @@ SingleBusSystem::transferDone()
             if (cfg_.collectLatency)
                 procServiceStart_[static_cast<std::size_t>(xfer.proc)] =
                     now;
-            if (cfg_.trace) {
-                cfg_.trace->record(now, "mem",
-                                   traceText("module ", xfer.module,
-                                             " starts access for proc ",
-                                             xfer.proc));
-            }
             scheduleCompletion(xfer.module);
             refreshModule(xfer.module);
         } else {
@@ -442,12 +396,6 @@ SingleBusSystem::transferDone()
 
     // Deliver to the processor; it immediately starts its next
     // processor cycle (issue or think).
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "proc",
-                           traceText("proc ", xfer.proc,
-                                     " receives response from module ",
-                                     xfer.module));
-    }
     processorReady(xfer.proc);
 }
 
@@ -574,11 +522,6 @@ SingleBusSystem::grantRequest(int proc)
     refreshModule(p.target);
 
     busTransfer_ = BusTransfer{BusTransfer::Kind::Request, proc, p.target};
-    if (cfg_.trace) {
-        cfg_.trace->record(now_, "bus",
-                           traceText("grant request proc ", proc,
-                                     " -> module ", p.target));
-    }
 }
 
 void
@@ -603,11 +546,6 @@ SingleBusSystem::grantResponse(int module)
     }
 
     busTransfer_ = BusTransfer{BusTransfer::Kind::Response, proc, module};
-    if (cfg_.trace) {
-        cfg_.trace->record(now, "bus",
-                           traceText("grant response module ", module,
-                                     " -> proc ", proc));
-    }
     recordCompletion(proc, now);
 }
 
@@ -625,8 +563,6 @@ SingleBusSystem::recordCompletion(int proc, Tick grant_tick)
         service - static_cast<double>(cfg_.processorCycle());
     serviceStats_.add(service);
     waitStats_.add(wait);
-    if (waitHist_)
-        waitHist_->add(wait);
     if (latWaitHist_) {
         latWaitHist_->add(static_cast<double>(
             procServiceStart_[static_cast<std::size_t>(proc)] -
@@ -791,7 +727,6 @@ SingleBusSystem::run()
     out.meanServiceCycles = serviceStats_.mean();
     out.waitStats = waitStats_;
     out.perProcessorCompletions = perProcCompleted_;
-    out.waitHistogram = waitHist_;
     out.latencyWait = latWaitHist_;
     out.latencyResidence = latResidenceHist_;
     if (cfg_.collectPerModule)

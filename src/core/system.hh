@@ -57,7 +57,6 @@
 
 #include "core/config.hh"
 #include "core/metrics.hh"
-#include "desim/trace.hh"
 #include "util/index_set.hh"
 #include "util/random.hh"
 #include "workload/workload.hh"
@@ -301,7 +300,6 @@ class SingleBusSystem
     Accumulator waitStats_;
     Accumulator serviceStats_;
     std::vector<std::uint64_t> perProcCompleted_;
-    std::optional<Histogram> waitHist_;
 
     /**
      * Latency distributions (cfg_.collectLatency; otherwise the

@@ -45,12 +45,6 @@ class ThreadPool
     /** Enqueue a task for execution on some worker. */
     void post(std::function<void()> task);
 
-    /** Number of worker threads. */
-    unsigned threadCount() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
     /** Hardware concurrency, never reported as less than 1. */
     static unsigned hardwareThreads();
 

@@ -9,7 +9,6 @@
  *  - analytic/  the paper's analytical models + baselines + extensions
  *  - baselines/ synchronous crossbar / multiple-bus simulators
  *  - stats/     estimation utilities
- *  - desim/     the simulator's event trace sink (TraceSink)
  *  - exec/      deterministic parallel replication / sweep execution
  *  - shard/     multi-process sharded sweeps: deterministic plans,
  *               serialized point records, merge + resume
@@ -35,7 +34,6 @@
 #include "core/experiment.hh"
 #include "core/metrics.hh"
 #include "core/system.hh"
-#include "desim/trace.hh"
 #include "core/fingerprint.hh"
 #include "exec/adaptive.hh"
 #include "exec/parallel_runner.hh"

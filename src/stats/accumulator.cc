@@ -7,12 +7,6 @@
 
 namespace sbn {
 
-bool
-Estimate::covers(double value, double slack) const
-{
-    return std::abs(value - mean) <= halfWidth + slack;
-}
-
 void
 Accumulator::reset()
 {

@@ -93,12 +93,6 @@ struct Estimate
     double mean = 0.0;      //!< point estimate
     double halfWidth = 0.0; //!< CI half width at the requested level
     std::uint64_t samples = 0;
-
-    double lower() const { return mean - halfWidth; }
-    double upper() const { return mean + halfWidth; }
-
-    /** True if |other - mean| <= halfWidth + slack. */
-    bool covers(double value, double slack = 0.0) const;
 };
 
 } // namespace sbn

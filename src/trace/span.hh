@@ -2,12 +2,10 @@
  * @file
  * Cross-process span tracing for the sweep orchestration fleet.
  *
- * The in-simulator TraceSink (desim/trace.hh) answers "what did the
- * kernel do at tick T"; this layer answers "when did anything happen
- * across the job fleet": daemon job lifecycle, supervised shard
- * attempts, retries, backoff waits, hang kills, steal slices, merges
- * and adaptive rounds. It is the orchestration-level analogue of
- * gem5-style event tracing the desim header cites.
+ * This layer answers "when did anything happen across the job
+ * fleet": daemon job lifecycle, supervised shard attempts, retries,
+ * backoff waits, hang kills, steal slices, merges and adaptive
+ * rounds.
  *
  * Model: every process appends complete spans - closed intervals with
  * monotonic-clock microsecond timestamps - as one-line sbn.trace.v1

@@ -2,8 +2,8 @@
  * @file
  * The one flat-JSON codec. Every flat JSON line the repository reads
  * or writes goes through it: point records, the job journal, daemon
- * requests and replies, the heartbeat, telemetry dumps, histograms,
- * trace spans and TraceSink Jsonl lines.
+ * requests and replies, the heartbeat, telemetry dumps, histograms
+ * and trace spans.
  *
  * Grammar, strictly:
  *   - one object per line: `{`, then `"key":value` pairs separated
@@ -154,8 +154,8 @@ double doubleFromBits(std::uint64_t bits);
 /**
  * The canonical exact decimal form of a double: %.17g, which
  * round-trips the bit pattern. Every serializer that writes exact
- * doubles (the codec, the analytic disk cache, workload names,
- * golden files) renders through this one function.
+ * doubles (the codec, workload names, golden files) renders through
+ * this one function.
  */
 std::string formatExactDouble(double value);
 

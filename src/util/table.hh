@@ -47,9 +47,6 @@ class TextTable
     /** Insert a horizontal separator line before the next row. */
     void addSeparator();
 
-    /** Number of data rows added so far. */
-    std::size_t rowCount() const { return rows_.size(); }
-
     /** Render the table to a stream. */
     void print(std::ostream &os) const;
 

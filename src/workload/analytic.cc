@@ -8,11 +8,8 @@
 #include <mutex>
 #include <tuple>
 
-#include "analytic/disk_cache.hh"
 #include "analytic/memprio.hh"
-#include "core/fingerprint.hh"
 #include "util/combinatorics.hh"
-#include "util/flatjson.hh"
 #include "util/logging.hh"
 
 namespace sbn {
@@ -152,27 +149,6 @@ solveWeightedOccupancyChain(int n, int m, int cap,
     return result;
 }
 
-namespace {
-
-std::uint64_t
-weightedChainFingerprint(int n, int m, int cap,
-                         const std::vector<double> &q)
-{
-    // Version tag first: bump on any change to the chain's dynamics
-    // or the cached payload layout.
-    std::uint64_t state =
-        fingerprintMix(0xcbf29ce484222325ull, 0x574f43432e763031ull);
-    state = fingerprintMix(state, static_cast<std::uint64_t>(n));
-    state = fingerprintMix(state, static_cast<std::uint64_t>(m));
-    state = fingerprintMix(state, static_cast<std::uint64_t>(cap));
-    state = fingerprintMix(state, q.size());
-    for (double qj : q)
-        state = fingerprintMix(state, doubleBits(qj));
-    return state;
-}
-
-} // namespace
-
 const WeightedChainResult &
 solveWeightedOccupancyChainCached(int n, int m, int cap,
                                   const std::vector<double> &q)
@@ -189,36 +165,10 @@ solveWeightedOccupancyChainCached(int n, int m, int cap,
             return *it->second;
     }
 
-    // Payload layout: meanBusy, meanServiced, busyPmf, moduleBusy.
-    const std::size_t pmf_size =
-        static_cast<std::size_t>(std::min(n, m)) + 1;
-    const std::size_t payload_size =
-        2 + pmf_size + static_cast<std::size_t>(m);
-    const std::uint64_t fp = weightedChainFingerprint(n, m, cap, q);
-
-    auto solved = std::make_unique<WeightedChainResult>();
-    std::vector<double> payload;
-    if (loadCachedSolve("wocc", fp, payload_size, payload)) {
-        solved->meanBusy = payload[0];
-        solved->meanServiced = payload[1];
-        solved->busyPmf.assign(payload.begin() + 2,
-                               payload.begin() + 2 +
-                                   static_cast<std::ptrdiff_t>(pmf_size));
-        solved->moduleBusy.assign(
-            payload.begin() + 2 +
-                static_cast<std::ptrdiff_t>(pmf_size),
-            payload.end());
-    } else {
-        *solved = solveWeightedOccupancyChain(n, m, cap, q);
-        payload.clear();
-        payload.push_back(solved->meanBusy);
-        payload.push_back(solved->meanServiced);
-        payload.insert(payload.end(), solved->busyPmf.begin(),
-                       solved->busyPmf.end());
-        payload.insert(payload.end(), solved->moduleBusy.begin(),
-                       solved->moduleBusy.end());
-        storeCachedSolve("wocc", fp, payload);
-    }
+    // Solve outside the lock; a losing racer on the same key
+    // discards its (identical, deterministic) copy.
+    auto solved = std::make_unique<WeightedChainResult>(
+        solveWeightedOccupancyChain(n, m, cap, q));
 
     std::lock_guard<std::mutex> lock(cache_mutex);
     const auto [it, inserted] = cache.emplace(key, std::move(solved));

@@ -37,7 +37,6 @@ TEST(ThreadPool, RunsEveryPostedTask)
     std::atomic<int> count{0};
     {
         ThreadPool pool(4);
-        EXPECT_EQ(pool.threadCount(), 4u);
         for (int i = 0; i < 1000; ++i)
             pool.post([&] { ++count; });
         // Destructor drains the queue before joining.

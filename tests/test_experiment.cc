@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
+#include "estimate_util.hh"
 
 namespace sbn {
 namespace {
@@ -46,7 +47,7 @@ TEST(Experiment, SingleRunFallsInsideInterval)
     const auto est = replicateEbw(quickConfig(), 6);
     SystemConfig cfg = quickConfig();
     cfg.seed = 777;
-    EXPECT_TRUE(est.covers(runEbw(cfg), 0.05 * est.mean));
+    EXPECT_TRUE(covers(est, runEbw(cfg), 0.05 * est.mean));
 }
 
 TEST(Experiment, ArbitraryMetricExtractor)

@@ -6,16 +6,17 @@
  * design promises.
  *
  * FastStat is deliberately not bit-compatible with CycleSkip, so the
- * regression net here is the CI-overlap procedure of
- * stats/equivalence.hh: K replications of each kernel per
- * configuration (seeds fixed, so every verdict is deterministic) must
- * produce overlapping 95% confidence intervals on EBW. A non-overlap
- * is strong evidence the two kernels simulate different processes -
- * correctness, not noise (docs/testing.md "Statistical equivalence").
+ * regression net here is a CI-overlap procedure: K replications of
+ * each kernel per configuration (seeds fixed, so every verdict is
+ * deterministic) must produce overlapping 95% confidence intervals
+ * on EBW. A non-overlap is strong evidence the two kernels simulate
+ * different processes - correctness, not noise (docs/testing.md
+ * "Statistical equivalence").
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -24,7 +25,7 @@
 #include "core/faststat.hh"
 #include "core/fingerprint.hh"
 #include "core/system.hh"
-#include "stats/equivalence.hh"
+#include "stats/accumulator.hh"
 #include "workload/analytic.hh"
 
 namespace sbn {
@@ -61,14 +62,36 @@ ebwSamples(SystemConfig cfg, KernelKind kind)
     return out;
 }
 
+/** One kernel's replication sample, summarized. */
+struct CiSummary
+{
+    double mean = 0.0;
+    double halfWidth = 0.0;    //!< Student-t 95% CI half-width
+    double meanVariance = 0.0; //!< variance / count
+};
+
+CiSummary
+summarize(const std::vector<double> &values)
+{
+    Accumulator acc;
+    for (double v : values)
+        acc.add(v);
+    return {acc.mean(), acc.confidenceHalfWidth(0.95),
+            acc.variance() / static_cast<double>(acc.count())};
+}
+
+/** The two kernels' 95% CIs on EBW must intersect; the Welch t in
+ *  the message shows how far apart a failing pair is. */
 void
 expectEquivalent(const SystemConfig &cfg, const std::string &label)
 {
-    const auto exact = ebwSamples(cfg, KernelKind::CycleSkip);
-    const auto fast = ebwSamples(cfg, KernelKind::FastStat);
-    const EquivalenceResult result = ciOverlapTest(exact, fast);
-    EXPECT_TRUE(result.overlap)
-        << label << ": " << result.describe();
+    const CiSummary a = summarize(ebwSamples(cfg, KernelKind::CycleSkip));
+    const CiSummary b = summarize(ebwSamples(cfg, KernelKind::FastStat));
+    EXPECT_TRUE(a.mean - a.halfWidth <= b.mean + b.halfWidth &&
+                b.mean - b.halfWidth <= a.mean + a.halfWidth)
+        << label << ": " << a.mean << " +/- " << a.halfWidth << " vs "
+        << b.mean << " +/- " << b.halfWidth << ", Welch t="
+        << (a.mean - b.mean) / std::sqrt(a.meanVariance + b.meanVariance);
 }
 
 // --------------------------------------- CI-overlap equivalence grid

@@ -49,7 +49,7 @@ diffBase()
     cfg.warmupCycles = 2000;
     cfg.measureCycles = 30000;
     cfg.seed = 9001;
-    cfg.collectWaitHistogram = true;
+    cfg.collectLatency = true;
     return cfg;
 }
 
@@ -197,9 +197,10 @@ TEST(KernelGrid, PinnedClassicEraGrid)
             {c.name + " meanWait", exact(metrics.meanWaitCycles)});
         computed.push_back({c.name + " waitVar",
                             exact(metrics.waitStats.variance())});
-        if (metrics.waitHistogram.has_value())
-            computed.push_back({c.name + " histCount",
-                                exact(metrics.waitHistogram->count())});
+        if (metrics.latencyResidence.has_value())
+            computed.push_back(
+                {c.name + " histCount",
+                 exact(metrics.latencyResidence->count())});
     }
     checkExactGolden("kernel_metrics_grid", computed);
 }

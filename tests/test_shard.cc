@@ -709,7 +709,11 @@ TEST(Fingerprint, DistinguishesResultDeterminingFields)
 
     // Presentation-only fields are excluded.
     changed = base;
-    changed.collectWaitHistogram = true;
+    changed.collectPerModule = true;
+    EXPECT_EQ(configFingerprint(changed), fp);
+
+    changed = base;
+    changed.collectLatency = true;
     EXPECT_EQ(configFingerprint(changed), fp);
 
     EXPECT_TRUE(formatFingerprint(fp).rfind("0x", 0) == 0);

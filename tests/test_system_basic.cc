@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/experiment.hh"
 
@@ -28,16 +29,34 @@ baseConfig()
 TEST(SystemBasic, SingleProcessorIsUncontended)
 {
     // n = 1: every request takes exactly r+2 cycles -> EBW = 1.
-    for (int r : {1, 4, 9}) {
-        for (bool buffered : {false, true}) {
-            SystemConfig cfg = baseConfig();
-            cfg.numProcessors = 1;
-            cfg.memoryRatio = r;
-            cfg.buffered = buffered;
-            const Metrics m = runOnce(cfg);
-            EXPECT_NEAR(m.ebw, 1.0, 1e-2)
-                << "r=" << r << " buffered=" << buffered;
-            EXPECT_NEAR(m.meanWaitCycles, 0.0, 1e-9);
+    // Within the cycle, the request is granted at issue, the access
+    // starts one bus cycle later and the response is delivered r + 2
+    // cycles after issue, in both kernels.
+    for (KernelKind kernel : {KernelKind::CycleSkip, KernelKind::FastStat}) {
+        for (int r : {1, 4, 9}) {
+            for (bool buffered : {false, true}) {
+                SystemConfig cfg = baseConfig();
+                cfg.kernel = kernel;
+                cfg.numProcessors = 1;
+                cfg.memoryRatio = r;
+                cfg.buffered = buffered;
+                cfg.collectLatency = true;
+                const Metrics m = runOnce(cfg);
+                const std::string where =
+                    std::string(kernel == KernelKind::FastStat
+                                    ? "FastStat"
+                                    : "CycleSkip") +
+                    " r=" + std::to_string(r) +
+                    " buffered=" + std::to_string(buffered);
+                EXPECT_NEAR(m.ebw, 1.0, 1e-2) << where;
+                EXPECT_NEAR(m.meanWaitCycles, 0.0, 1e-9) << where;
+                ASSERT_TRUE(m.latencyWait && m.latencyResidence) << where;
+                EXPECT_EQ(m.latencyWait->mean(), 1.0) << where;
+                EXPECT_EQ(m.latencyWait->maxSample(), 1.0) << where;
+                EXPECT_EQ(m.latencyResidence->mean(), r + 2.0) << where;
+                EXPECT_EQ(m.latencyResidence->maxSample(), r + 2.0)
+                    << where;
+            }
         }
     }
 }
@@ -160,19 +179,6 @@ TEST(SystemBasic, WaitTimesNonNegativeAndConsistent)
     EXPECT_NEAR(m.meanServiceCycles,
                 m.meanWaitCycles + cfg.processorCycle(), 1e-9);
     EXPECT_GT(m.meanWaitCycles, 0.0); // 12 procs on 4 modules queue up
-}
-
-TEST(SystemBasic, HistogramCollectsWhenEnabled)
-{
-    SystemConfig cfg = baseConfig();
-    cfg.collectWaitHistogram = true;
-    const Metrics m = runOnce(cfg);
-    ASSERT_TRUE(m.waitHistogram.has_value());
-    EXPECT_EQ(m.waitHistogram->count(), m.completedRequests);
-    EXPECT_NEAR(m.waitHistogram->mean(), m.meanWaitCycles, 1e-9);
-
-    SystemConfig off = baseConfig();
-    EXPECT_FALSE(runOnce(off).waitHistogram.has_value());
 }
 
 TEST(SystemBasic, RoughFairnessAcrossProcessors)
