@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/faststat.hh"
 #include "core/system.hh"
 #include "golden_util.hh"
 
@@ -203,6 +204,70 @@ TEST(KernelGrid, PinnedClassicEraGrid)
                  exact(metrics.latencyResidence->count())});
     }
     checkExactGolden("kernel_metrics_grid", computed);
+}
+
+/**
+ * The same grid under FastStat, plus one unbuffered and one buffered
+ * per-module case. FastStat is not bit-compatible with CycleSkip, but
+ * a fixed config still yields a fixed trajectory, so its own Metrics
+ * are pinned bit for bit in tests/golden/faststat_metrics.txt: any
+ * change to its draw order, grant decisions or accounting fails here.
+ */
+TEST(FastStatGolden, PinnedGrid)
+{
+    std::vector<GridCase> grid = diffGrid();
+    for (bool buffered : {false, true}) {
+        SystemConfig cfg = diffBase();
+        cfg.buffered = buffered;
+        cfg.requestProbability = 0.6;
+        cfg.numProcessors = 10;
+        cfg.numModules = 4;
+        cfg.collectPerModule = true;
+        grid.push_back(
+            {std::string("permodule_") + (buffered ? "buf" : "unbuf"),
+             cfg});
+    }
+
+    std::vector<GoldenLine> computed;
+    for (GridCase &c : grid) {
+        c.config.kernel = KernelKind::FastStat;
+        FastStatSystem system(c.config);
+        const Metrics metrics = system.run();
+        const std::string &key = c.name;
+        computed.push_back(
+            {key + " completed", exact(metrics.completedRequests)});
+        computed.push_back(
+            {key + " issued", exact(metrics.issuedRequests)});
+        computed.push_back(
+            {key + " busBusy", exact(metrics.busBusyCycles)});
+        computed.push_back(
+            {key + " moduleUtil", exact(metrics.meanModuleUtilization)});
+        computed.push_back(
+            {key + " meanWait", exact(metrics.meanWaitCycles)});
+        computed.push_back(
+            {key + " meanService", exact(metrics.meanServiceCycles)});
+        computed.push_back(
+            {key + " waitVar", exact(metrics.waitStats.variance())});
+        computed.push_back(
+            {key + " thinkDraws", exact(system.thinkDraws())});
+        computed.push_back({key + " histCount",
+                            exact(metrics.latencyResidence->count())});
+        computed.push_back({key + " latWaitMean",
+                            exact(metrics.latencyWait->mean())});
+        for (std::size_t j = 0; j < metrics.perModuleBusyCycles.size();
+             ++j) {
+            const std::string mod = key + " mod" + std::to_string(j);
+            computed.push_back(
+                {mod + " busy", exact(metrics.perModuleBusyCycles[j])});
+            computed.push_back(
+                {mod + " depthAvg",
+                 exact(metrics.perModuleQueueDepthAvg[j])});
+            computed.push_back(
+                {mod + " depthMax",
+                 exact(metrics.perModuleQueueDepthMax[j])});
+        }
+    }
+    checkExactGolden("faststat_metrics", computed);
 }
 
 /** Same config + seed must reproduce Metrics exactly, field by field. */
