@@ -1,7 +1,6 @@
 #include "core/faststat.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/fingerprint.hh"
 #include "telemetry/telemetry.hh"
@@ -9,19 +8,13 @@
 
 namespace sbn {
 
-namespace {
-
-constexpr Tick kNever = std::numeric_limits<Tick>::max();
-
-} // namespace
-
 FastStatSystem::FastStatSystem(const SystemConfig &config)
     : cfg_(config),
       // cfg_ precedes workload_ in declaration order; validate before
       // the workload model builds alias tables from the raw fields.
       workload_((cfg_.validate(), cfg_.workload), cfg_.numProcessors,
                 cfg_.numModules, cfg_.requestProbability),
-      pc_(static_cast<Tick>(cfg_.processorCycle()))
+      bus_(cfg_), pc_(static_cast<Tick>(cfg_.processorCycle()))
 {
     // Stream family keyed by the full config fingerprint (seed
     // included): streams 0..n-1 drive the processors, stream n the
@@ -35,121 +28,28 @@ FastStatSystem::FastStatSystem(const SystemConfig &config)
         procRng_.emplace_back(key, static_cast<std::uint64_t>(p));
     arbRng_ = CounterRng(key, static_cast<std::uint64_t>(n));
 
-    procState_.assign(n, ProcState::Thinking);
-    procTarget_.assign(n, -1);
-    procIssueTick_.assign(n, 0);
-
     modState_.assign(m, ModState::Idle);
-    modServing_.assign(m, -1);
-    modAccessStart_.assign(m, 0);
     modAccessing_.assign(m, 0u);
     inputQueues_.resize(m);
     outputQueues_.resize(m);
 
     arbAt_ = kNever;
-    compRing_.resize(m + 1);
     thinkHeap_.reserve(n);
-
-    candProcSet_.resize(n);
-    candModSet_.resize(m);
-    waiterSets_.assign(m, IndexSet(n));
-    modCanAccept_.assign(m, 1u);
-    modHasResponse_.assign(m, 0u);
-
-    windowStart_ = cfg_.warmupCycles;
-    windowEnd_ = cfg_.warmupCycles + cfg_.measureCycles;
-    perProcCompleted_.assign(n, 0);
-    if (cfg_.collectPerModule) {
-        perModBusy_.assign(m, 0);
-        perModDepth_.assign(m, 0);
-        perModDepthArea_.assign(m, 0);
-        perModDepthSince_.assign(m, 0);
-        perModDepthMax_.assign(m, 0);
-    }
-    if (cfg_.collectLatency) {
-        procServiceStart_.assign(n, 0);
-        latWaitHist_.emplace(makeLatencyHistogram());
-        latResidenceHist_.emplace(makeLatencyHistogram());
-    }
-}
-
-bool
-FastStatSystem::moduleCanAcceptRequest(int module) const
-{
-    if (!cfg_.buffered)
-        return modState_[static_cast<std::size_t>(module)] ==
-               ModState::Idle;
-
-    // No reservation term: grants enqueue their request immediately
-    // (delivery is fused into the grant), so the input queue alone is
-    // the occupancy.
-    const auto idx = static_cast<std::size_t>(module);
-    const int occupied = static_cast<int>(inputQueues_[idx].size());
-    if (cfg_.inputCapacity == 0)
-        return true;
-    if (!modAccessing_[idx] && occupied == 0)
-        return true;
-    return occupied < cfg_.inputCapacity;
-}
-
-bool
-FastStatSystem::moduleHasResponse(int module) const
-{
-    const auto idx = static_cast<std::size_t>(module);
-    if (!cfg_.buffered)
-        return modState_[idx] == ModState::HoldingResponse;
-    return !outputQueues_[idx].empty();
-}
-
-void
-FastStatSystem::procBecomesWaiting(int proc, int target)
-{
-    waiterSets_[static_cast<std::size_t>(target)].insert(
-        static_cast<std::size_t>(proc));
-    if (modCanAccept_[static_cast<std::size_t>(target)])
-        candProcSet_.insert(static_cast<std::size_t>(proc));
 }
 
 void
 FastStatSystem::refreshModule(int module)
 {
+    // Buffered organization only: the unbuffered transitions know
+    // which flag flips and set it directly. No reservation term:
+    // grants enqueue their request immediately (delivery is fused
+    // into the grant), so the input queue alone is the occupancy.
     const auto idx = static_cast<std::size_t>(module);
-    const bool accept = moduleCanAcceptRequest(module);
-    if (accept != static_cast<bool>(modCanAccept_[idx])) {
-        modCanAccept_[idx] = accept ? 1 : 0;
-        if (!waiterSets_[idx].empty()) {
-            if (accept)
-                candProcSet_.insertAll(waiterSets_[idx]);
-            else
-                candProcSet_.eraseAll(waiterSets_[idx]);
-        }
-    }
-    const bool response = moduleHasResponse(module);
-    if (response != static_cast<bool>(modHasResponse_[idx])) {
-        modHasResponse_[idx] = response ? 1 : 0;
-        if (response)
-            candModSet_.insert(idx);
-        else
-            candModSet_.erase(idx);
-    }
-}
-
-void
-FastStatSystem::scheduleCompletion(int module, Tick due)
-{
-    sbn_debug_assert(compCount_ < compRing_.size(),
-               "completion ring overflow");
-    // Fixed-stride calendar: every access lasts exactly memoryRatio
-    // ticks and starts at the current (monotone) tick, so pushes
-    // arrive in due order and a plain FIFO ring is a full calendar.
-    sbn_debug_assert(due >= lastCompletionDue_,
-               "completion calendar lost its FIFO order");
-    lastCompletionDue_ = due;
-    std::size_t slot = compHead_ + compCount_;
-    if (slot >= compRing_.size())
-        slot -= compRing_.size();
-    compRing_[slot] = Completion{due, module};
-    ++compCount_;
+    bus_.refreshModule(
+        module,
+        bus_.inputHasRoom(static_cast<int>(inputQueues_[idx].size()),
+                          modAccessing_[idx] != 0),
+        !outputQueues_[idx].empty());
 }
 
 void
@@ -171,8 +71,6 @@ FastStatSystem::processorReady(int proc, Tick now)
     if (p <= 0.0) {
         // Never issues again; park outside every structure (the exact
         // kernel redraws forever, statistically the same silence).
-        procState_[static_cast<std::size_t>(proc)] =
-            ProcState::Thinking;
         return;
     }
     const std::uint64_t k = procRng_[static_cast<std::size_t>(proc)]
@@ -181,10 +79,9 @@ FastStatSystem::processorReady(int proc, Tick now)
         issue(proc, now);
         return;
     }
-    procState_[static_cast<std::size_t>(proc)] = ProcState::Thinking;
     // A wake past the window can never fire (the driver loop stops
     // first); parking it keeps k * pc_ from overflowing for tiny p.
-    if (k > (windowEnd_ - now) / static_cast<std::uint64_t>(pc_))
+    if (k > (bus_.windowEnd() - now) / static_cast<std::uint64_t>(pc_))
         return;
     const Tick due = now + static_cast<Tick>(k) * pc_;
     pushThinkWake(due, proc);
@@ -193,16 +90,10 @@ FastStatSystem::processorReady(int proc, Tick now)
 void
 FastStatSystem::issue(int proc, Tick now)
 {
-    const auto idx = static_cast<std::size_t>(proc);
-    procState_[idx] = ProcState::WaitingGrant;
-    const int target = workload_.sampleTarget(proc, procRng_[idx]);
-    procTarget_[idx] = target;
-    procIssueTick_[idx] = now;
-    if (inWindow(now))
-        ++issued_;
-    procBecomesWaiting(proc, target);
-    if (cfg_.collectPerModule)
-        noteQueueDepth(target, now, +1);
+    bus_.issue(proc,
+               workload_.sampleTarget(
+                   proc, procRng_[static_cast<std::size_t>(proc)]),
+               now);
 }
 
 template <bool Buffered>
@@ -216,14 +107,12 @@ FastStatSystem::memoryCompletion(int module, Tick now)
         // Accessing -> HoldingResponse: the response flag flips on;
         // acceptance stays off.
         modState_[idx] = ModState::HoldingResponse;
-        modHasResponse_[idx] = 1;
-        candModSet_.insert(idx);
-        recordAccessSpan(module, modAccessStart_[idx], now);
+        bus_.setResponse(module, true);
+        bus_.finishAccess(module, now);
     } else {
-        outputQueues_[idx].push_back(Response{modServing_[idx], now});
+        outputQueues_[idx].push_back(
+            Response{bus_.finishAccess(module, now), now});
         modAccessing_[idx] = 0;
-        modServing_[idx] = -1;
-        recordAccessSpan(module, modAccessStart_[idx], now);
         refreshModule(module);
         maybeStartBufferedAccess(module, now);
     }
@@ -240,17 +129,11 @@ FastStatSystem::maybeStartBufferedAccess(int module, Tick now)
             cfg_.outputCapacity)
         return; // blocked until a response drains
 
-    modServing_[idx] = inputQueues_[idx].front();
+    const int proc = inputQueues_[idx].front();
     inputQueues_[idx].pop_front();
     modAccessing_[idx] = 1;
-    modAccessStart_[idx] = now;
-    if (cfg_.collectLatency)
-        procServiceStart_[static_cast<std::size_t>(modServing_[idx])] =
-            now;
-    if (cfg_.collectPerModule)
-        noteQueueDepth(module, now, -1);
-    scheduleCompletion(module,
-                       now + static_cast<Tick>(cfg_.memoryRatio));
+    bus_.noteQueueDepth(module, now, -1);
+    bus_.startAccess(module, proc, now);
     refreshModule(module);
 }
 
@@ -262,62 +145,33 @@ FastStatSystem::arbitrate(Tick now)
     // bus-flight stages are fused away: the chosen transfer's delivery
     // effects apply immediately with next-tick timestamps, because the
     // flight lasts exactly one tick and nothing arbitrates mid-air.
-    const bool any_proc = !candProcSet_.empty();
-    const bool any_mod = !candModSet_.empty();
-    if (!any_proc && !any_mod) {
+    int proc = -1;
+    int module = -1;
+    const bool granted = bus_.select(
+        [&](std::size_t count) {
+            // A singleton set has nothing to tie-break; skip the draw.
+            return count == 1 ? 0 : arbRng_.pickIndex(count);
+        },
+        [&](int m) {
+            if constexpr (Buffered)
+                return outputQueues_[static_cast<std::size_t>(m)]
+                    .front()
+                    .readyTick;
+            else
+                return bus_.accessStart(m) +
+                       static_cast<Tick>(cfg_.memoryRatio);
+        },
+        proc, module);
+    if (!granted) {
         arbAt_ = kNever; // re-armed by the next event tick
         return;
     }
 
-    const bool procs_first =
-        cfg_.policy == ArbitrationPolicy::ProcessorPriority;
-    if (any_proc && (procs_first || !any_mod)) {
-        int chosen;
-        if (cfg_.selection == SelectionRule::Random) {
-            // A singleton set has nothing to tie-break; skip the draw.
-            const std::size_t count = candProcSet_.count();
-            chosen = static_cast<int>(candProcSet_.nth(
-                count == 1 ? 0 : arbRng_.pickIndex(count)));
-        } else {
-            int best = -1;
-            candProcSet_.forEach([&](std::size_t p) {
-                const int proc = static_cast<int>(p);
-                if (best < 0 ||
-                    procIssueTick_[p] <
-                        procIssueTick_[static_cast<std::size_t>(best)])
-                    best = proc;
-            });
-            chosen = best;
-        }
-        grantRequest<Buffered>(chosen, now);
-    } else {
-        int chosen;
-        if (cfg_.selection == SelectionRule::Random) {
-            const std::size_t count = candModSet_.count();
-            chosen = static_cast<int>(candModSet_.nth(
-                count == 1 ? 0 : arbRng_.pickIndex(count)));
-        } else {
-            auto ready = [&](int m) {
-                const auto idx = static_cast<std::size_t>(m);
-                if constexpr (Buffered)
-                    return outputQueues_[idx].front().readyTick;
-                else
-                    return modAccessStart_[idx] +
-                           static_cast<Tick>(cfg_.memoryRatio);
-            };
-            int best = -1;
-            candModSet_.forEach([&](std::size_t m) {
-                const int mod = static_cast<int>(m);
-                if (best < 0 || ready(mod) < ready(best))
-                    best = mod;
-            });
-            chosen = best;
-        }
-        grantResponse<Buffered>(chosen, now);
-    }
-
-    if (inWindow(now))
-        ++busBusy_;
+    if (proc >= 0)
+        grantRequest<Buffered>(proc, now);
+    else
+        grantResponse<Buffered>(module, now);
+    bus_.countBusCycle(now);
     arbAt_ = now + 1;
 }
 
@@ -325,35 +179,22 @@ template <bool Buffered>
 void
 FastStatSystem::grantRequest(int proc, Tick now)
 {
-    const auto idx = static_cast<std::size_t>(proc);
-    const int target = procTarget_[idx];
+    const int target = bus_.grantRequest(proc);
     const auto tgt = static_cast<std::size_t>(target);
     const Tick arrive = now + 1;
-    procState_[idx] = ProcState::WaitingResponse;
-
-    waiterSets_[tgt].erase(idx);
-    candProcSet_.erase(idx);
 
     if constexpr (!Buffered) {
         sbn_debug_assert(modState_[tgt] == ModState::Idle,
                    "request granted to a non-idle module");
         // The request leaves the queue for the (dedicated) server;
         // buffered grants stay queued until the module starts them.
-        if (cfg_.collectPerModule)
-            noteQueueDepth(target, now, -1);
+        bus_.noteQueueDepth(target, now, -1);
         // Idle -> Accessing at the arrival tick: acceptance flips
         // off and the module's remaining waiters leave the candidate
         // set; the access completes a fixed stride later.
         modState_[tgt] = ModState::Accessing;
-        modCanAccept_[tgt] = 0;
-        if (!waiterSets_[tgt].empty())
-            candProcSet_.eraseAll(waiterSets_[tgt]);
-        modServing_[tgt] = proc;
-        modAccessStart_[tgt] = arrive;
-        if (cfg_.collectLatency)
-            procServiceStart_[idx] = arrive;
-        scheduleCompletion(
-            target, arrive + static_cast<Tick>(cfg_.memoryRatio));
+        bus_.setAccept(target, false);
+        bus_.startAccess(target, proc, arrive);
     } else {
         inputQueues_[tgt].push_back(proc);
         refreshModule(target);
@@ -374,14 +215,10 @@ FastStatSystem::grantResponse(int module, Tick now)
         // HoldingResponse -> Idle: the response leaves, the module
         // becomes acceptable and its waiters re-enter the candidate
         // set (first visible to the next tick's arbitration).
-        proc = modServing_[idx];
-        modServing_[idx] = -1;
+        proc = bus_.serving(module);
         modState_[idx] = ModState::Idle;
-        modHasResponse_[idx] = 0;
-        candModSet_.erase(idx);
-        modCanAccept_[idx] = 1;
-        if (!waiterSets_[idx].empty())
-            candProcSet_.insertAll(waiterSets_[idx]);
+        bus_.setResponse(module, false);
+        bus_.setAccept(module, true);
     } else {
         proc = outputQueues_[idx].front().proc;
         outputQueues_[idx].pop_front();
@@ -392,88 +229,18 @@ FastStatSystem::grantResponse(int module, Tick now)
         maybeStartBufferedAccess(module, now);
     }
 
-    recordCompletion(proc, now);
+    bus_.recordCompletion(proc, now, [&](Tick residence) {
+        // Wait is an exact tick count: integer moments here, one
+        // Accumulator summary at the end of run().
+        const std::uint64_t wait = residence - pc_;
+        waitSum_ += wait;
+        waitSumSq_ += static_cast<unsigned __int128>(wait) * wait;
+        if (wait < waitMin_)
+            waitMin_ = wait;
+        if (wait > waitMax_)
+            waitMax_ = wait;
+    });
     processorReady(proc, now + 1);
-}
-
-void
-FastStatSystem::recordCompletion(int proc, Tick grant_tick)
-{
-    if (!inWindow(grant_tick))
-        return;
-    ++completed_;
-    ++perProcCompleted_[static_cast<std::size_t>(proc)];
-    const Tick delivery = grant_tick + 1;
-    // Wait is an exact tick count; service = wait + pc. Integer
-    // moments here, one Accumulator summary at the end of run().
-    const std::uint64_t wait =
-        delivery - procIssueTick_[static_cast<std::size_t>(proc)] -
-        pc_;
-    waitSum_ += wait;
-    waitSumSq_ += static_cast<unsigned __int128>(wait) * wait;
-    if (wait < waitMin_)
-        waitMin_ = wait;
-    if (wait > waitMax_)
-        waitMax_ = wait;
-    if (latWaitHist_) {
-        latWaitHist_->add(static_cast<double>(
-            procServiceStart_[static_cast<std::size_t>(proc)] -
-            procIssueTick_[static_cast<std::size_t>(proc)]));
-        latResidenceHist_->add(static_cast<double>(
-            delivery - procIssueTick_[static_cast<std::size_t>(proc)]));
-    }
-}
-
-void
-FastStatSystem::recordAccessSpan(int module, Tick start, Tick end)
-{
-    // end is an event tick, so end < windowEnd_ always holds; only
-    // the start needs clamping to the window.
-    const Tick lo = std::max(start, windowStart_);
-    if (end > lo) {
-        accessCycles_ += end - lo;
-        if (cfg_.collectPerModule)
-            perModBusy_[static_cast<std::size_t>(module)] +=
-                static_cast<std::uint64_t>(end - lo);
-    }
-}
-
-void
-FastStatSystem::noteQueueDepth(int module, Tick now, int delta)
-{
-    const auto idx = static_cast<std::size_t>(module);
-    const Tick lo = std::max(perModDepthSince_[idx], windowStart_);
-    const Tick hi = std::min(now, windowEnd_);
-    if (hi > lo) {
-        perModDepthArea_[idx] +=
-            perModDepth_[idx] * static_cast<std::uint64_t>(hi - lo);
-        if (perModDepth_[idx] > perModDepthMax_[idx])
-            perModDepthMax_[idx] = perModDepth_[idx];
-    }
-    const auto next =
-        static_cast<std::int64_t>(perModDepth_[idx]) + delta;
-    sbn_debug_assert(next >= 0, "module queue depth went negative");
-    perModDepth_[idx] = static_cast<std::uint64_t>(next);
-    perModDepthSince_[idx] = now;
-}
-
-void
-FastStatSystem::finishPerModule(Metrics &out)
-{
-    const auto m = static_cast<std::size_t>(cfg_.numModules);
-    const auto cycles = static_cast<double>(out.measuredCycles);
-    out.perModuleBusyCycles = perModBusy_;
-    out.perModuleUtilization.resize(m);
-    out.perModuleQueueDepthAvg.resize(m);
-    for (std::size_t j = 0; j < m; ++j) {
-        // Close the depth integral at the window end (delta 0).
-        noteQueueDepth(static_cast<int>(j), windowEnd_, 0);
-        out.perModuleUtilization[j] =
-            static_cast<double>(perModBusy_[j]) / cycles;
-        out.perModuleQueueDepthAvg[j] =
-            static_cast<double>(perModDepthArea_[j]) / cycles;
-    }
-    out.perModuleQueueDepthMax = perModDepthMax_;
 }
 
 // Flatten: inline the whole per-event helper chain into the driver
@@ -500,22 +267,15 @@ FastStatSystem::runLoop()
     // their delivery effects at the previous tick. Every structure is
     // O(1)/O(log n) per event and allocation-free in steady state.
     for (;;) {
-        Tick next = arbAt_;
-        if (compCount_ != 0 && compRing_[compHead_].due < next)
-            next = compRing_[compHead_].due;
+        Tick next = std::min(arbAt_, bus_.nextCompletion());
         if (!thinkHeap_.empty() && thinkHeap_.front().first < next)
             next = thinkHeap_.front().first;
-        if (next >= windowEnd_)
+        if (next >= bus_.windowEnd())
             break;
 
         const Tick now = next;
-        while (compCount_ != 0 && compRing_[compHead_].due == now) {
-            const int module = compRing_[compHead_].module;
-            if (++compHead_ == compRing_.size())
-                compHead_ = 0;
-            --compCount_;
-            memoryCompletion<Buffered>(module, now);
-        }
+        while (bus_.nextCompletion() == now)
+            memoryCompletion<Buffered>(bus_.popCompletion(), now);
         while (!thinkHeap_.empty() &&
                thinkHeap_.front().first == now) {
             std::pop_heap(thinkHeap_.begin(), thinkHeap_.end(),
@@ -544,53 +304,24 @@ FastStatSystem::run()
             runLoop<false>();
     }
 
-    // Flush the run's locally accumulated counts in one batch; the
-    // flattened driver loop never touches the telemetry registry.
-    telemetryAdd(TelemetryCounter::SimRuns, 1);
-    telemetryAdd(TelemetryCounter::SimThinkDraws, thinkDraws_);
-    telemetryAdd(TelemetryCounter::SimRequestsIssued, issued_);
-    telemetryAdd(TelemetryCounter::SimRequestsCompleted, completed_);
-
-    Metrics out;
-    out.measuredCycles = windowEnd_ - windowStart_;
-    out.completedRequests = completed_;
-    out.issuedRequests = issued_;
-    out.busBusyCycles = busBusy_;
-
-    const auto cycles = static_cast<double>(out.measuredCycles);
-    const auto pc = static_cast<double>(pc_);
-    out.ebw = static_cast<double>(completed_) * pc / cycles;
-    out.busUtilization = static_cast<double>(busBusy_) / cycles;
-    out.ebwFromBusUtilization = out.busUtilization * pc / 2.0;
-    out.meanModuleUtilization =
-        static_cast<double>(accessCycles_) /
-        (cycles * static_cast<double>(cfg_.numModules));
-    out.processorEfficiency =
-        out.ebw / static_cast<double>(cfg_.numProcessors);
-
     // Summarize the integer wait moments: mean = sum/n and
     // m2 = sumsq - sum^2/n (exact sums, so the subtraction is safe).
+    const std::uint64_t completed = bus_.completed();
     Accumulator waitStats;
-    if (completed_ != 0) {
-        const auto n = static_cast<double>(completed_);
+    if (completed != 0) {
+        const auto n = static_cast<double>(completed);
         const double sum = static_cast<double>(waitSum_);
         const double sumsq = static_cast<double>(waitSumSq_);
         const double mean = sum / n;
         waitStats = Accumulator::fromMoments(
-            completed_, mean, sumsq - sum * mean,
+            completed, mean, sumsq - sum * mean,
             static_cast<double>(waitMin_),
             static_cast<double>(waitMax_));
     }
-    out.meanWaitCycles = waitStats.mean();
-    out.meanServiceCycles =
-        completed_ != 0 ? waitStats.mean() + pc : 0.0;
-    out.waitStats = waitStats;
-    out.perProcessorCompletions = perProcCompleted_;
-    out.latencyWait = latWaitHist_;
-    out.latencyResidence = latResidenceHist_;
-    if (cfg_.collectPerModule)
-        finishPerModule(out);
-    return out;
+    return bus_.finish(
+        thinkDraws_, waitStats,
+        completed != 0 ? waitStats.mean() + static_cast<double>(pc_)
+                       : 0.0);
 }
 
 } // namespace sbn

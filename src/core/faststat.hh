@@ -3,8 +3,9 @@
  * FastStat: the statistical fast-path kernel.
  *
  * Simulates the same stochastic process as the exact CycleSkip kernel
- * (core/system.hh) - identical state machines, arbitration rules and
- * metric accounting - but deliberately breaks the shared-RNG
+ * (core/system.hh) - the same module state machines, and the same
+ * eligibility, selection and metric accounting, shared through
+ * core/bus_machine.hh - but deliberately breaks the shared-RNG
  * draw-order contract that pins CycleSkip to the classic kernel's
  * trajectories. What that buys:
  *
@@ -14,21 +15,23 @@
  *    think span in one inversion instead of one Bernoulli per
  *    processor cycle; in the saturated regime (p = 1) the draw is
  *    free and the think structures are never touched at all.
- *  - **Fixed-stride completion calendar.** Every memory access
- *    completes exactly memoryRatio ticks after it starts, and starts
- *    are issued at the monotone loop tick - so pending completions
- *    form a FIFO ring of at most numModules entries (CycleSkip uses
- *    the same ring).
- *  - **SoA processor state.** The arbitration scan walks parallel
- *    arrays (state / target / issue tick) plus the incremental
- *    IndexSet candidate bitsets, not an array of structs.
+ *  - **Fused bus flight.** A transfer lasts exactly one tick and
+ *    nothing arbitrates mid-flight, so a grant applies its delivery
+ *    effects at once, with next-tick timestamps; the bus needs no
+ *    in-flight states and arbitration runs on every event tick.
+ *  - **Flattened, templated driver loop.** The per-event chain,
+ *    BusMachine included, inlines into one loop per organization
+ *    (buffered or not).
  *
  * The cost is bit-compatibility: FastStat trajectories differ from
- * CycleSkip's for the same seed, so golden Metrics pins do not apply.
- * Validation is statistical instead - CI-overlap equivalence against
- * CycleSkip across the config/workload grid and agreement with the
- * analytic occupancy chains (tests/test_faststat.cc,
- * docs/performance.md "FastStat").
+ * CycleSkip's for the same seed, so CycleSkip's golden pins do not
+ * apply. FastStat has its own bit-level pin
+ * (tests/golden/faststat_metrics.txt, FastStatGolden.*), which guards
+ * its trajectory. Whether that trajectory simulates the same process
+ * as CycleSkip's is checked statistically - CI-overlap equivalence
+ * across the config/workload grid and agreement with the analytic
+ * occupancy chains (tests/test_faststat.cc, docs/performance.md
+ * "FastStat").
  *
  * Determinism still holds in the reproducibility sense: a fixed
  * config (fingerprint + seed) yields a fixed trajectory, on every
@@ -42,12 +45,11 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <optional>
 #include <vector>
 
+#include "core/bus_machine.hh"
 #include "core/config.hh"
 #include "core/metrics.hh"
-#include "util/index_set.hh"
 #include "util/random.hh"
 #include "workload/workload.hh"
 
@@ -77,14 +79,6 @@ class FastStatSystem
     std::uint64_t thinkDraws() const { return thinkDraws_; }
 
   private:
-    /** What a processor is doing (SoA: stored per index). */
-    enum class ProcState : std::uint8_t
-    {
-        Thinking,
-        WaitingGrant,
-        WaitingResponse,
-    };
-
     /**
      * Unbuffered module service stages. The exact kernel's transient
      * in-flight stages do not appear: bus transfers take exactly one
@@ -104,13 +98,6 @@ class FastStatSystem
         Tick readyTick;
     };
 
-    /** Fixed-stride calendar entry: module's access done at due. */
-    struct Completion
-    {
-        Tick due;
-        int module;
-    };
-
     // --- behaviour ---------------------------------------------------
     // The per-event chain is templated on the buffered/unbuffered
     // split: the driver loop instantiates each variant once, so the
@@ -125,26 +112,12 @@ class FastStatSystem
     template <bool Buffered> void grantRequest(int proc, Tick now);
     template <bool Buffered> void grantResponse(int module, Tick now);
 
-    bool moduleCanAcceptRequest(int module) const;
-    bool moduleHasResponse(int module) const;
-    void procBecomesWaiting(int proc, int target);
     void refreshModule(int module);
-
-    void scheduleCompletion(int module, Tick due);
     void pushThinkWake(Tick due, int proc);
-
-    // --- bookkeeping -------------------------------------------------
-    bool inWindow(Tick t) const
-    {
-        return t >= windowStart_ && t < windowEnd_;
-    }
-    void recordCompletion(int proc, Tick grant_tick);
-    void recordAccessSpan(int module, Tick start, Tick end);
-    void noteQueueDepth(int module, Tick now, int delta);
-    void finishPerModule(Metrics &out);
 
     SystemConfig cfg_;
     WorkloadModel workload_;
+    BusMachine bus_;
     Tick pc_; //!< processor cycle r + 2
 
     /** Per-processor counter streams + one for arbitration (stream n),
@@ -152,18 +125,9 @@ class FastStatSystem
     std::vector<CounterRng> procRng_;
     CounterRng arbRng_;
 
-    // SoA processor state.
-    std::vector<ProcState> procState_;
-    std::vector<std::int32_t> procTarget_;
-    std::vector<Tick> procIssueTick_;
-
-    // Module state (unbuffered machine + buffered queues).
+    // Module state (unbuffered machine + buffered queues). uint32_t
+    // flags, as in BusMachine, keep the flattened loop alias-free.
     std::vector<ModState> modState_;
-    std::vector<std::int32_t> modServing_;
-    std::vector<Tick> modAccessStart_;
-    // Flag arrays are uint32_t, not char: char stores may legally
-    // alias anything, so each one would force the optimizer to reload
-    // every cached pointer in the flattened driver loop.
     std::vector<std::uint32_t> modAccessing_; //!< buffered: server busy
     std::vector<std::deque<int>> inputQueues_;
     std::vector<std::deque<Response>> outputQueues_;
@@ -176,38 +140,13 @@ class FastStatSystem
     Tick arbAt_;
 
     /**
-     * Completion calendar: FIFO ring of at most numModules entries.
-     * Accesses start at the monotone loop tick and all take exactly
-     * memoryRatio ticks, so push order == due order and a heap is
-     * unnecessary.
-     */
-    std::vector<Completion> compRing_;
-    std::size_t compHead_ = 0;
-    std::size_t compCount_ = 0;
-    Tick lastCompletionDue_ = 0; //!< FIFO-order invariant check
-
-    /**
      * Pending think wake-ups (tick, proc), a binary min-heap over a
      * reserved vector. Only processors whose geometric draw came out
      * nonzero ever enter; at p = 1 it stays empty for the whole run.
      */
     std::vector<std::pair<Tick, int>> thinkHeap_;
 
-    // Incremental arbitration eligibility (as in the exact kernel).
-    IndexSet candProcSet_;
-    IndexSet candModSet_;
-    std::vector<IndexSet> waiterSets_;
-    std::vector<std::uint32_t> modCanAccept_;
-    std::vector<std::uint32_t> modHasResponse_;
-
-    // Measurement window and counters.
-    Tick windowStart_ = 0;
-    Tick windowEnd_ = 0;
-    std::uint64_t busBusy_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t issued_ = 0;
     std::uint64_t thinkDraws_ = 0;
-    std::uint64_t accessCycles_ = 0;
 
     /**
      * Wait-time moments, accumulated as exact integers (waits are
@@ -218,27 +157,6 @@ class FastStatSystem
     unsigned __int128 waitSumSq_ = 0;
     std::uint64_t waitMin_ = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t waitMax_ = 0;
-
-    std::vector<std::uint64_t> perProcCompleted_;
-
-    /**
-     * Latency distributions (cfg_.collectLatency), mirroring the
-     * exact kernel: procServiceStart_[p] is the tick module service
-     * began for p's outstanding request; recordCompletion feeds wait
-     * and residence histograms. Passive - no RNG, no trajectory
-     * change.
-     */
-    std::vector<Tick> procServiceStart_;
-    std::optional<Histogram> latWaitHist_;
-    std::optional<Histogram> latResidenceHist_;
-
-    /** Per-module accounting (cfg_.collectPerModule), mirroring the
-     *  exact kernel's passive busy/queue-depth integration. */
-    std::vector<std::uint64_t> perModBusy_;
-    std::vector<std::uint64_t> perModDepth_;
-    std::vector<std::uint64_t> perModDepthArea_;
-    std::vector<Tick> perModDepthSince_;
-    std::vector<std::uint64_t> perModDepthMax_;
 
     bool ran_ = false;
 };

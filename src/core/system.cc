@@ -12,15 +12,10 @@ SingleBusSystem::SingleBusSystem(const SystemConfig &config)
       // cfg_ precedes workload_ in declaration order; validate before
       // the workload model builds alias tables from the raw fields.
       workload_((cfg_.validate(), cfg_.workload), cfg_.numProcessors,
-                cfg_.numModules, cfg_.requestProbability)
+                cfg_.numModules, cfg_.requestProbability),
+      bus_(cfg_)
 {
-    procs_.resize(cfg_.numProcessors);
     mods_.resize(cfg_.numModules);
-    completions_.resize(static_cast<std::size_t>(cfg_.numModules));
-
-    windowStart_ = cfg_.warmupCycles;
-    windowEnd_ = cfg_.warmupCycles + cfg_.measureCycles;
-    perProcCompleted_.assign(cfg_.numProcessors, 0);
 
     // Pre-size every container the hot path touches so steady-state
     // simulation performs no allocations (asserted by the perf tests
@@ -32,31 +27,6 @@ SingleBusSystem::SingleBusSystem(const SystemConfig &config)
     thinkBucketDue_.assign(pc, 0);
     thinkMaskUsable_ = pc <= 63;
     thinkMaskAll_ = thinkMaskUsable_ ? (1ull << pc) - 1 : 0;
-    candProcSet_.resize(static_cast<std::size_t>(cfg_.numProcessors));
-    candModSet_.resize(static_cast<std::size_t>(cfg_.numModules));
-    waiterSets_.assign(
-        static_cast<std::size_t>(cfg_.numModules),
-        IndexSet(static_cast<std::size_t>(cfg_.numProcessors)));
-    // Every module starts idle and empty: accepting, no response.
-    modCanAccept_.assign(static_cast<std::size_t>(cfg_.numModules), 1);
-    modHasResponse_.assign(static_cast<std::size_t>(cfg_.numModules),
-                           0);
-
-    if (cfg_.collectPerModule) {
-        const auto m = static_cast<std::size_t>(cfg_.numModules);
-        perModBusy_.assign(m, 0);
-        perModDepth_.assign(m, 0);
-        perModDepthArea_.assign(m, 0);
-        perModDepthSince_.assign(m, 0);
-        perModDepthMax_.assign(m, 0);
-    }
-
-    if (cfg_.collectLatency) {
-        procServiceStart_.assign(
-            static_cast<std::size_t>(cfg_.numProcessors), 0);
-        latWaitHist_.emplace(makeLatencyHistogram());
-        latResidenceHist_.emplace(makeLatencyHistogram());
-    }
 }
 
 std::vector<std::size_t>
@@ -65,69 +35,24 @@ SingleBusSystem::scratchCapacities() const
     std::vector<std::size_t> caps;
     for (const auto &bucket : thinkBuckets_)
         caps.push_back(bucket.capacity());
-    caps.push_back(perModBusy_.capacity());
-    caps.push_back(perModDepth_.capacity());
-    caps.push_back(perModDepthArea_.capacity());
-    caps.push_back(perModDepthSince_.capacity());
-    caps.push_back(perModDepthMax_.capacity());
+    bus_.appendScratchCapacities(caps);
     return caps;
-}
-
-bool
-SingleBusSystem::moduleCanAcceptRequest(const Module &mod) const
-{
-    if (!cfg_.buffered)
-        return mod.state == ModState::Idle;
-
-    // A request heading to an idle, empty module occupies the server,
-    // not a buffer slot; otherwise it needs a free input slot.
-    const int occupied =
-        static_cast<int>(mod.inputQueue.size()) + mod.reservedInput;
-    if (cfg_.inputCapacity == 0)
-        return true;
-    if (!mod.accessing && occupied == 0)
-        return true;
-    return occupied < cfg_.inputCapacity;
-}
-
-bool
-SingleBusSystem::moduleHasResponse(const Module &mod) const
-{
-    if (!cfg_.buffered)
-        return mod.state == ModState::HoldingResponse;
-    return !mod.outputQueue.empty();
-}
-
-void
-SingleBusSystem::procBecomesWaiting(int proc, int target)
-{
-    waiterSets_[target].insert(proc);
-    if (modCanAccept_[target])
-        candProcSet_.insert(proc);
 }
 
 void
 SingleBusSystem::refreshModule(int module)
 {
     const Module &mod = mods_[module];
-    const bool accept = moduleCanAcceptRequest(mod);
-    if (accept != static_cast<bool>(modCanAccept_[module])) {
-        modCanAccept_[module] = accept ? 1 : 0;
-        if (!waiterSets_[module].empty()) {
-            if (accept)
-                candProcSet_.insertAll(waiterSets_[module]);
-            else
-                candProcSet_.eraseAll(waiterSets_[module]);
-        }
+    bool accept = mod.state == ModState::Idle;
+    bool response = mod.state == ModState::HoldingResponse;
+    if (cfg_.buffered) {
+        // Granted requests still on the bus hold their input slot.
+        accept = bus_.inputHasRoom(
+            static_cast<int>(mod.inputQueue.size()) + mod.reservedInput,
+            mod.accessing);
+        response = !mod.outputQueue.empty();
     }
-    const bool response = moduleHasResponse(mod);
-    if (response != static_cast<bool>(modHasResponse_[module])) {
-        modHasResponse_[module] = response ? 1 : 0;
-        if (response)
-            candModSet_.insert(module);
-        else
-            candModSet_.erase(module);
-    }
+    bus_.refreshModule(module, accept, response);
 }
 
 void
@@ -144,54 +69,37 @@ SingleBusSystem::requestArbitration()
         return;
     // With incrementally maintained candidate sets an empty-handed
     // arbitration is knowable in advance (no RNG, no state change).
-    if (candProcSet_.empty() && candModSet_.empty())
+    if (!bus_.hasCandidates())
         return;
     arbitrationAt_ = now_;
 }
 
 void
-SingleBusSystem::scheduleCompletion(int module)
+SingleBusSystem::startAccess(int module, int proc)
 {
-    const Tick due = now_ + static_cast<Tick>(cfg_.memoryRatio);
     // Same-tick updates run in the order they were scheduled, and
     // dispatchDue runs completions before the bus cycle: a bus cycle
     // already pending at the due tick would have to go first.
-    sbn_assert(due != busCycleAt_,
+    sbn_assert(now_ + static_cast<Tick>(cfg_.memoryRatio) != busCycleAt_,
                "completion scheduled onto a pending bus cycle's tick");
-    sbn_debug_assert(completionCount_ < completions_.size(),
-                     "completion ring overflow");
-    std::size_t slot = completionHead_ + completionCount_;
-    if (slot >= completions_.size())
-        slot -= completions_.size();
-    completions_[slot] = Completion{due, module};
-    ++completionCount_;
+    bus_.startAccess(module, proc, now_);
 }
 
 bool
 SingleBusSystem::drawProcessor(int proc, Tick now)
 {
-    Processor &p = procs_[proc];
     ++thinkDraws_;
-
-    if (rng_.bernoulli(workload_.thinkProbability(proc))) {
-        p.state = ProcState::WaitingGrant;
-        p.target = workload_.sampleTarget(proc, rng_);
-        p.issueTick = now;
-        if (inWindow(now))
-            ++issued_;
-        procBecomesWaiting(proc, p.target);
-        if (cfg_.collectPerModule)
-            noteQueueDepth(p.target, now, +1);
-        if (modCanAccept_[p.target])
-            requestArbitration();
-        return true;
+    if (!rng_.bernoulli(workload_.thinkProbability(proc))) {
+        // One processor cycle of internal work, then draw again
+        // (hypothesis (f): requests only start on processor-cycle
+        // boundaries).
+        return false;
     }
-
-    // One processor cycle of internal work, then draw again
-    // (hypothesis (f): requests only start on processor-cycle
-    // boundaries).
-    p.state = ProcState::Thinking;
-    return false;
+    const int target = workload_.sampleTarget(proc, rng_);
+    bus_.issue(proc, target, now);
+    if (bus_.canAccept(target))
+        requestArbitration();
+    return true;
 }
 
 void
@@ -302,23 +210,20 @@ SingleBusSystem::processThinkTick(Tick now, std::size_t idx)
 void
 SingleBusSystem::memoryCompletion(int module)
 {
-    const Tick now = now_;
     Module &mod = mods_[module];
+    const int proc = bus_.finishAccess(module, now_);
 
     if (!cfg_.buffered) {
         sbn_assert(mod.state == ModState::Accessing,
                    "completion on non-accessing module");
         mod.state = ModState::HoldingResponse;
-        recordAccessSpan(module, mod.accessStart, now);
         refreshModule(module);
         requestArbitration();
         return;
     }
 
-    mod.outputQueue.push_back(Response{mod.servingProc, now});
+    mod.outputQueue.push_back(Response{proc, now_});
     mod.accessing = false;
-    mod.servingProc = -1;
-    recordAccessSpan(module, mod.accessStart, now);
     refreshModule(module);
     maybeStartBufferedAccess(module);
     requestArbitration();
@@ -334,17 +239,11 @@ SingleBusSystem::maybeStartBufferedAccess(int module)
         static_cast<int>(mod.outputQueue.size()) >= cfg_.outputCapacity)
         return; // blocked until a response drains
 
-    const Tick now = now_;
-    mod.servingProc = mod.inputQueue.front();
+    const int proc = mod.inputQueue.front();
     mod.inputQueue.pop_front();
     mod.accessing = true;
-    mod.accessStart = now;
-    if (cfg_.collectLatency)
-        procServiceStart_[static_cast<std::size_t>(mod.servingProc)] =
-            now;
-    if (cfg_.collectPerModule)
-        noteQueueDepth(module, now, -1);
-    scheduleCompletion(module);
+    bus_.noteQueueDepth(module, now_, -1);
+    startAccess(module, proc);
     refreshModule(module);
     // An input slot freed: a waiting processor may now be eligible.
     requestArbitration();
@@ -353,7 +252,6 @@ SingleBusSystem::maybeStartBufferedAccess(int module)
 void
 SingleBusSystem::transferDone()
 {
-    const Tick now = now_;
     const BusTransfer xfer = busTransfer_;
     busTransfer_ = BusTransfer{};
 
@@ -363,12 +261,7 @@ SingleBusSystem::transferDone()
             sbn_assert(mod.state == ModState::RequestInFlight,
                        "request arrived at module in wrong state");
             mod.state = ModState::Accessing;
-            mod.servingProc = xfer.proc;
-            mod.accessStart = now;
-            if (cfg_.collectLatency)
-                procServiceStart_[static_cast<std::size_t>(xfer.proc)] =
-                    now;
-            scheduleCompletion(xfer.module);
+            startAccess(xfer.module, xfer.proc);
             refreshModule(xfer.module);
         } else {
             --mod.reservedInput;
@@ -388,7 +281,6 @@ SingleBusSystem::transferDone()
         sbn_assert(mod.state == ModState::ResponseInFlight,
                    "response finished from module in wrong state");
         mod.state = ModState::Idle;
-        mod.servingProc = -1;
         refreshModule(xfer.module);
         // Requests queued for this module become eligible.
         requestArbitration();
@@ -413,61 +305,6 @@ SingleBusSystem::busCycle()
 }
 
 void
-SingleBusSystem::selectIncremental(int &chosen_proc, int &chosen_mod)
-{
-    if (candProcSet_.empty() && candModSet_.empty())
-        return;
-
-    const bool procs_first =
-        cfg_.policy == ArbitrationPolicy::ProcessorPriority;
-    const bool grant_proc =
-        !candProcSet_.empty() && (procs_first || candModSet_.empty());
-
-    // The sets iterate in ascending index order, FCFS keeps the
-    // strict-< lowest-index tie-break, and Random draws pickIndex
-    // over the candidate count - the historical scan order exactly.
-    if (grant_proc) {
-        int chosen;
-        if (cfg_.selection == SelectionRule::Random) {
-            chosen = static_cast<int>(
-                candProcSet_.nth(rng_.pickIndex(candProcSet_.count())));
-        } else {
-            int best = -1;
-            candProcSet_.forEach([&](std::size_t p) {
-                const int proc = static_cast<int>(p);
-                if (best < 0 ||
-                    procs_[proc].issueTick < procs_[best].issueTick)
-                    best = proc;
-            });
-            chosen = best;
-        }
-        chosen_proc = chosen;
-    } else {
-        int chosen;
-        if (cfg_.selection == SelectionRule::Random) {
-            chosen = static_cast<int>(
-                candModSet_.nth(rng_.pickIndex(candModSet_.count())));
-        } else {
-            auto ready = [&](int m) {
-                const Module &mod = mods_[m];
-                return cfg_.buffered ? mod.outputQueue.front().readyTick
-                                     : mod.accessStart +
-                                           static_cast<Tick>(
-                                               cfg_.memoryRatio);
-            };
-            int best = -1;
-            candModSet_.forEach([&](std::size_t m) {
-                const int mod = static_cast<int>(m);
-                if (best < 0 || ready(mod) < ready(best))
-                    best = mod;
-            });
-            chosen = best;
-        }
-        chosen_mod = chosen;
-    }
-}
-
-void
 SingleBusSystem::arbitrate()
 {
     const Tick now = now_;
@@ -475,11 +312,20 @@ SingleBusSystem::arbitrate()
                "arbitrating while the bus is busy");
     inArbitration_ = true;
 
+    // Random draws pickIndex over the candidate count from the shared
+    // stream, every time - the historical draw order exactly.
     int chosen_proc = -1;
     int chosen_mod = -1;
-    selectIncremental(chosen_proc, chosen_mod);
-
-    if (chosen_proc < 0 && chosen_mod < 0) {
+    const bool granted = bus_.select(
+        [&](std::size_t count) { return rng_.pickIndex(count); },
+        [&](int m) {
+            return cfg_.buffered
+                       ? mods_[m].outputQueue.front().readyTick
+                       : bus_.accessStart(m) +
+                             static_cast<Tick>(cfg_.memoryRatio);
+        },
+        chosen_proc, chosen_mod);
+    if (!granted) {
         // Bus goes idle; a future state change reschedules us.
         inArbitration_ = false;
         return;
@@ -490,8 +336,7 @@ SingleBusSystem::arbitrate()
     else
         grantResponse(chosen_mod);
 
-    if (inWindow(now))
-        ++busBusy_;
+    bus_.countBusCycle(now);
     // One coalesced bus cycle replaces the transfer-done/arbitrate
     // pair: the bus stays busy through the next cycle either way.
     busCycleAt_ = now + 1;
@@ -501,12 +346,8 @@ SingleBusSystem::arbitrate()
 void
 SingleBusSystem::grantRequest(int proc)
 {
-    Processor &p = procs_[proc];
-    Module &mod = mods_[p.target];
-    p.state = ProcState::WaitingResponse;
-
-    waiterSets_[p.target].erase(proc);
-    candProcSet_.erase(proc);
+    const int target = bus_.grantRequest(proc);
+    Module &mod = mods_[target];
 
     if (!cfg_.buffered) {
         sbn_assert(mod.state == ModState::Idle,
@@ -514,14 +355,13 @@ SingleBusSystem::grantRequest(int proc)
         mod.state = ModState::RequestInFlight;
         // The request leaves the queue for the (dedicated) server;
         // buffered grants stay queued until the module starts them.
-        if (cfg_.collectPerModule)
-            noteQueueDepth(p.target, now_, -1);
+        bus_.noteQueueDepth(target, now_, -1);
     } else {
         ++mod.reservedInput;
     }
-    refreshModule(p.target);
+    refreshModule(target);
 
-    busTransfer_ = BusTransfer{BusTransfer::Kind::Request, proc, p.target};
+    busTransfer_ = BusTransfer{BusTransfer::Kind::Request, proc, target};
 }
 
 void
@@ -534,7 +374,7 @@ SingleBusSystem::grantResponse(int module)
     if (!cfg_.buffered) {
         sbn_assert(mod.state == ModState::HoldingResponse,
                    "response granted from module in wrong state");
-        proc = mod.servingProc;
+        proc = bus_.serving(module);
         mod.state = ModState::ResponseInFlight;
         refreshModule(module);
     } else {
@@ -546,81 +386,12 @@ SingleBusSystem::grantResponse(int module)
     }
 
     busTransfer_ = BusTransfer{BusTransfer::Kind::Response, proc, module};
-    recordCompletion(proc, now);
-}
-
-void
-SingleBusSystem::recordCompletion(int proc, Tick grant_tick)
-{
-    if (!inWindow(grant_tick))
-        return;
-    ++completed_;
-    ++perProcCompleted_[proc];
-    const Tick delivery = grant_tick + 1;
-    const double service =
-        static_cast<double>(delivery - procs_[proc].issueTick);
-    const double wait =
-        service - static_cast<double>(cfg_.processorCycle());
-    serviceStats_.add(service);
-    waitStats_.add(wait);
-    if (latWaitHist_) {
-        latWaitHist_->add(static_cast<double>(
-            procServiceStart_[static_cast<std::size_t>(proc)] -
-            procs_[proc].issueTick));
-        latResidenceHist_->add(
-            static_cast<double>(delivery - procs_[proc].issueTick));
-    }
-}
-
-void
-SingleBusSystem::recordAccessSpan(int module, Tick start, Tick end)
-{
-    const Tick lo = std::max(start, windowStart_);
-    const Tick hi = std::min(end, windowEnd_);
-    if (hi > lo) {
-        accessCycles_ += static_cast<double>(hi - lo);
-        if (cfg_.collectPerModule)
-            perModBusy_[static_cast<std::size_t>(module)] +=
-                static_cast<std::uint64_t>(hi - lo);
-    }
-}
-
-void
-SingleBusSystem::noteQueueDepth(int module, Tick now, int delta)
-{
-    const auto idx = static_cast<std::size_t>(module);
-    const Tick lo = std::max(perModDepthSince_[idx], windowStart_);
-    const Tick hi = std::min(now, windowEnd_);
-    if (hi > lo) {
-        perModDepthArea_[idx] +=
-            perModDepth_[idx] * static_cast<std::uint64_t>(hi - lo);
-        if (perModDepth_[idx] > perModDepthMax_[idx])
-            perModDepthMax_[idx] = perModDepth_[idx];
-    }
-    const auto next =
-        static_cast<std::int64_t>(perModDepth_[idx]) + delta;
-    sbn_debug_assert(next >= 0, "module queue depth went negative");
-    perModDepth_[idx] = static_cast<std::uint64_t>(next);
-    perModDepthSince_[idx] = now;
-}
-
-void
-SingleBusSystem::finishPerModule(Metrics &out)
-{
-    const auto m = static_cast<std::size_t>(cfg_.numModules);
-    const auto cycles = static_cast<double>(out.measuredCycles);
-    out.perModuleBusyCycles = perModBusy_;
-    out.perModuleUtilization.resize(m);
-    out.perModuleQueueDepthAvg.resize(m);
-    for (std::size_t j = 0; j < m; ++j) {
-        // Close the depth integral at the window end (delta 0).
-        noteQueueDepth(static_cast<int>(j), windowEnd_, 0);
-        out.perModuleUtilization[j] =
-            static_cast<double>(perModBusy_[j]) / cycles;
-        out.perModuleQueueDepthAvg[j] =
-            static_cast<double>(perModDepthArea_[j]) / cycles;
-    }
-    out.perModuleQueueDepthMax = perModDepthMax_;
+    bus_.recordCompletion(proc, now, [&](Tick residence) {
+        const auto service = static_cast<double>(residence);
+        serviceStats_.add(service);
+        waitStats_.add(service -
+                       static_cast<double>(cfg_.processorCycle()));
+    });
 }
 
 void
@@ -644,7 +415,7 @@ SingleBusSystem::runCycleSkip()
     while (true) {
         const Tick tc = thinkingCount_ > 0 ? thinkNextDue_ : kNever;
         const Tick now = std::min(tc, nextScheduled());
-        if (now >= windowEnd_)
+        if (now >= bus_.windowEnd())
             break;
         now_ = now;
         if (tc == now)
@@ -656,10 +427,7 @@ SingleBusSystem::runCycleSkip()
 Tick
 SingleBusSystem::nextScheduled() const
 {
-    Tick next = std::min(busCycleAt_, arbitrationAt_);
-    if (completionCount_ != 0)
-        next = std::min(next, completions_[completionHead_].due);
-    return next;
+    return std::min({busCycleAt_, arbitrationAt_, bus_.nextCompletion()});
 }
 
 void
@@ -667,14 +435,9 @@ SingleBusSystem::dispatchDue(Tick now)
 {
     // Nothing run here schedules anything due at this tick except
     // the idle-bus arbitration, which runs last.
-    while (completionCount_ != 0 &&
-           completions_[completionHead_].due == now) {
-        const int module = completions_[completionHead_].module;
-        if (++completionHead_ == completions_.size())
-            completionHead_ = 0;
-        --completionCount_;
+    while (bus_.nextCompletion() == now) {
         ++dispatched_;
-        memoryCompletion(module);
+        memoryCompletion(bus_.popCompletion());
     }
     if (busCycleAt_ == now) {
         busCycleAt_ = kNever;
@@ -699,39 +462,9 @@ SingleBusSystem::run()
         runCycleSkip();
     }
 
-    // Flush the run's locally accumulated counts in one batch; the
-    // inner loops never touch the telemetry registry.
-    telemetryAdd(TelemetryCounter::SimRuns, 1);
     telemetryAdd(TelemetryCounter::SimHeapEvents, dispatched_);
     telemetryAdd(TelemetryCounter::SimCalendarDrains, calendarDrains_);
-    telemetryAdd(TelemetryCounter::SimThinkDraws, thinkDraws_);
-    telemetryAdd(TelemetryCounter::SimRequestsIssued, issued_);
-    telemetryAdd(TelemetryCounter::SimRequestsCompleted, completed_);
-
-    Metrics out;
-    out.measuredCycles = windowEnd_ - windowStart_;
-    out.completedRequests = completed_;
-    out.issuedRequests = issued_;
-    out.busBusyCycles = busBusy_;
-
-    const auto cycles = static_cast<double>(out.measuredCycles);
-    const auto pc = static_cast<double>(cfg_.processorCycle());
-    out.ebw = static_cast<double>(completed_) * pc / cycles;
-    out.busUtilization = static_cast<double>(busBusy_) / cycles;
-    out.ebwFromBusUtilization = out.busUtilization * pc / 2.0;
-    out.meanModuleUtilization =
-        accessCycles_ / (cycles * static_cast<double>(cfg_.numModules));
-    out.processorEfficiency =
-        out.ebw / static_cast<double>(cfg_.numProcessors);
-    out.meanWaitCycles = waitStats_.mean();
-    out.meanServiceCycles = serviceStats_.mean();
-    out.waitStats = waitStats_;
-    out.perProcessorCompletions = perProcCompleted_;
-    out.latencyWait = latWaitHist_;
-    out.latencyResidence = latResidenceHist_;
-    if (cfg_.collectPerModule)
-        finishPerModule(out);
-    return out;
+    return bus_.finish(thinkDraws_, waitStats_, serviceStats_.mean());
 }
 
 } // namespace sbn

@@ -14,9 +14,9 @@
  *
  * The system is synchronous to the bus cycle, so every scheduled
  * event lands at a fixed stride and needs no general event queue:
- *   - a memory completion at access start + r, kept in a FIFO ring
- *     (accesses start at the monotone current tick and all last r,
- *     so schedule order is due order);
+ *   - a memory completion at access start + r, kept in BusMachine's
+ *     FIFO ring (accesses start at the monotone current tick and all
+ *     last r, so schedule order is due order);
  *   - the coalesced bus cycle (transfer done, then arbitrate) at
  *     grant + 1, one slot;
  *   - the idle-bus arbitration at the current tick, one slot.
@@ -36,10 +36,17 @@
  *
  * Thinking processors sit in a calendar of processorCycle()
  * tick-buckets drained by the driver loop, so a think redraw costs
- * one Bernoulli and O(1) bucket work; arbitration candidates are
- * bit-sets maintained incrementally at the state transitions that
- * change eligibility. The golden Metrics pins in
- * tests/golden/kernel_metrics*.txt are the regression net.
+ * one Bernoulli and O(1) bucket work.
+ *
+ * The bookkeeping this kernel shares with FastStat lives once, in
+ * core/bus_machine.hh: outstanding requests, the arbitration
+ * candidate bit-sets (maintained incrementally at the state
+ * transitions that change eligibility), the completion ring,
+ * FCFS/Random selection and the Metrics accounting. This file keeps
+ * what is CycleSkip's own: the think calendar, the bus's in-flight
+ * states, the arbitration schedule and Welford wait moments. The
+ * golden Metrics pins in tests/golden/kernel_metrics*.txt are the
+ * regression net.
  *
  * Which module a request targets and how eagerly each processor
  * issues is owned by the WorkloadModel (workload/workload.hh). The
@@ -52,12 +59,11 @@
 #define SBN_CORE_SYSTEM_HH
 
 #include <deque>
-#include <limits>
 #include <vector>
 
+#include "core/bus_machine.hh"
 #include "core/config.hh"
 #include "core/metrics.hh"
-#include "util/index_set.hh"
 #include "util/random.hh"
 #include "workload/workload.hh"
 
@@ -96,21 +102,6 @@ class SingleBusSystem
     std::vector<std::size_t> scratchCapacities() const;
 
   private:
-    /** What a processor is doing. */
-    enum class ProcState
-    {
-        Thinking,        //!< internal processing, no request
-        WaitingGrant,    //!< request issued, waiting for the bus
-        WaitingResponse, //!< request in the memory subsystem
-    };
-
-    struct Processor
-    {
-        ProcState state = ProcState::Thinking;
-        int target = -1;  //!< module of the outstanding request
-        Tick issueTick = 0;
-    };
-
     /** Unbuffered module service stages. */
     enum class ModState
     {
@@ -131,22 +122,12 @@ class SingleBusSystem
     {
         // Unbuffered state machine.
         ModState state = ModState::Idle;
-        int servingProc = -1;
 
         // Buffered organization (config.buffered).
         bool accessing = false;
         std::deque<int> inputQueue;      //!< waiting request procs
         std::deque<Response> outputQueue; //!< waiting responses
         int reservedInput = 0; //!< granted requests still on the bus
-
-        Tick accessStart = 0;
-    };
-
-    /** A pending memory completion. */
-    struct Completion
-    {
-        Tick due;
-        int module;
     };
 
     /** The transfer currently occupying the bus. */
@@ -165,9 +146,8 @@ class SingleBusSystem
     void busCycle();
 
     void requestArbitration();
-    void scheduleCompletion(int module);
-    bool moduleCanAcceptRequest(const Module &mod) const;
-    bool moduleHasResponse(const Module &mod) const;
+    void startAccess(int module, int proc);
+    void refreshModule(int module);
     void maybeStartBufferedAccess(int module);
 
     void grantRequest(int proc);
@@ -188,27 +168,11 @@ class SingleBusSystem
     void refreshNextThink(Tick now, std::size_t r0);
     void enterThinking(int proc, Tick now);
 
-    void procBecomesWaiting(int proc, int target);
-    void refreshModule(int module);
-    void selectIncremental(int &chosen_proc, int &chosen_mod);
-
-    // --- bookkeeping --------------------------------------------------
-    bool inWindow(Tick t) const
-    {
-        return t >= windowStart_ && t < windowEnd_;
-    }
-    void recordCompletion(int proc, Tick grant_tick);
-    void recordAccessSpan(int module, Tick start, Tick end);
-    void noteQueueDepth(int module, Tick now, int delta);
-    void finishPerModule(Metrics &out);
-
-    static constexpr Tick kNever = std::numeric_limits<Tick>::max();
-
     SystemConfig cfg_;
     RandomGenerator rng_;
     WorkloadModel workload_;
+    BusMachine bus_;
 
-    std::vector<Processor> procs_;
     std::vector<Module> mods_;
 
     BusTransfer busTransfer_;
@@ -218,16 +182,6 @@ class SingleBusSystem
     // --- fixed-stride schedule ----------------------------------------
     Tick now_ = 0;
     std::uint64_t dispatched_ = 0;
-
-    /**
-     * Pending memory completions, a FIFO ring of numModules slots
-     * (a module runs at most one access at a time). Every access
-     * starts at the current tick and lasts exactly r, so push order
-     * is due order.
-     */
-    std::vector<Completion> completions_;
-    std::size_t completionHead_ = 0;
-    std::size_t completionCount_ = 0;
 
     Tick busCycleAt_ = kNever;    //!< coalesced transfer+arbitrate
     Tick arbitrationAt_ = kNever; //!< idle-bus wakeup
@@ -265,53 +219,12 @@ class SingleBusSystem
     std::size_t thinkNextIdx_ = 0;
 
     /**
-     * Incremental arbitration eligibility, kept in lockstep with
-     * processor/module state transitions:
-     * candProcSet_ = waiting processors whose target can accept,
-     * candModSet_ = modules holding a deliverable response.
+     * Wait and service moments, Welford-accumulated per completion
+     * (the golden meanWait bits depend on this order of operations).
      */
-    IndexSet candProcSet_;
-    IndexSet candModSet_;
-    std::vector<IndexSet> waiterSets_; //!< per module: waiting procs
-    std::vector<char> modCanAccept_;   //!< cached acceptance flags
-    std::vector<char> modHasResponse_; //!< cached response flags
-
-    // Measurement window and counters.
-    Tick windowStart_ = 0;
-    Tick windowEnd_ = 0;
-    std::uint64_t busBusy_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t issued_ = 0;
-    std::uint64_t calendarDrains_ = 0;
-    double accessCycles_ = 0.0;
-
-    /**
-     * Per-module accounting (cfg_.collectPerModule; otherwise the
-     * vectors stay empty and untouched). Busy ticks plus
-     * change-driven time-weighted queue-depth integration: every
-     * depth change accrues depth x (window-clipped span since the
-     * last change). Purely passive - no RNG, no trajectory change.
-     */
-    std::vector<std::uint64_t> perModBusy_;
-    std::vector<std::uint64_t> perModDepth_;
-    std::vector<std::uint64_t> perModDepthArea_;
-    std::vector<Tick> perModDepthSince_;
-    std::vector<std::uint64_t> perModDepthMax_;
     Accumulator waitStats_;
     Accumulator serviceStats_;
-    std::vector<std::uint64_t> perProcCompleted_;
-
-    /**
-     * Latency distributions (cfg_.collectLatency; otherwise the
-     * optionals stay empty and procServiceStart_ is untouched).
-     * procServiceStart_[p] is the tick module service began for p's
-     * outstanding request; recordCompletion folds wait (service start
-     * - issue) and residence (delivery - issue) into the histograms.
-     * Purely passive - no RNG, no trajectory change.
-     */
-    std::vector<Tick> procServiceStart_;
-    std::optional<Histogram> latWaitHist_;
-    std::optional<Histogram> latResidenceHist_;
+    std::uint64_t calendarDrains_ = 0;
 
     bool ran_ = false;
 };

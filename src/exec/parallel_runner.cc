@@ -25,7 +25,7 @@ threadsFromEnvironment()
         const char *env = std::getenv("SBN_THREADS");
         if (env == nullptr)
             return 1u;
-        const unsigned parsed = parseThreadsSpec(env);
+        const unsigned parsed = parseThreadsSpec(env, "SBN_THREADS");
         return parsed != 0 ? parsed : ThreadPool::hardwareThreads();
     }();
     return cached;
@@ -34,16 +34,16 @@ threadsFromEnvironment()
 } // namespace
 
 unsigned
-parseThreadsSpec(const char *spec)
+parseThreadsSpec(const char *spec, const char *source)
 {
     if (spec == nullptr)
-        sbn_fatal("SBN_THREADS: null thread-count spec");
+        sbn_fatal(source, ": null thread-count spec");
 
     const char *cursor = spec;
     while (*cursor == ' ' || *cursor == '\t')
         ++cursor;
     if (*cursor == '\0')
-        sbn_fatal("SBN_THREADS: empty value (expected a thread count)");
+        sbn_fatal(source, ": empty value (expected a thread count)");
 
     char *end = nullptr;
     errno = 0;
@@ -51,13 +51,13 @@ parseThreadsSpec(const char *spec)
     while (end != nullptr && (*end == ' ' || *end == '\t'))
         ++end;
     if (end == cursor || end == nullptr || *end != '\0')
-        sbn_fatal("SBN_THREADS: '", spec,
+        sbn_fatal(source, ": '", spec,
                   "' is not a number (expected a decimal thread count)");
     if (errno == ERANGE || parsed > 4096)
-        sbn_fatal("SBN_THREADS: '", spec,
+        sbn_fatal(source, ": '", spec,
                   "' is out of range (max 4096 worker threads)");
     if (parsed < 0)
-        sbn_fatal("SBN_THREADS: '", spec,
+        sbn_fatal(source, ": '", spec,
                   "' is negative (expected >= 0; 0 = all hardware "
                   "threads)");
     return static_cast<unsigned>(parsed);

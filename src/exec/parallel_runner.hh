@@ -46,10 +46,12 @@ void setDefaultExecThreads(unsigned threads);
  * decimal integer (surrounding whitespace allowed), capped at 4096;
  * "0" means "all hardware threads" and resolves to 0. Anything else
  * (empty, non-numeric, negative, trailing junk) is a configuration
- * error and calls sbn_fatal with a message naming the bad value --
- * a typo must not silently degrade a sweep to serial execution.
+ * error and calls sbn_fatal with a message naming @p source (the
+ * setting the spec came from, e.g. "SBN_THREADS" or "--threads") and
+ * the bad value -- a typo must not silently degrade a sweep to serial
+ * execution.
  */
-unsigned parseThreadsSpec(const char *spec);
+unsigned parseThreadsSpec(const char *spec, const char *source);
 
 /**
  * Runs independent work items across a worker pool, deterministically.

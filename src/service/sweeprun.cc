@@ -203,8 +203,8 @@ parseSweepRunOptions(const CommandLine &cli)
     opt.schedule.cap = static_cast<unsigned>(cap);
 
     if (cli.has("threads")) {
-        opt.threads =
-            parseThreadsSpec(cli.getString("threads", "1").c_str());
+        opt.threads = parseThreadsSpec(
+            cli.getString("threads", "1").c_str(), "--threads");
         // parseThreadsSpec keeps "0 = all hardware threads" symbolic;
         // resolve it here so 0 never reaches the runShard*/runner
         // plumbing, where 0 means "defaultExecThreads()" (serial

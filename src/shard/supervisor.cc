@@ -94,24 +94,6 @@ class SignalGuard
 
 } // namespace
 
-const char *
-shardStateName(ShardState state)
-{
-    switch (state) {
-    case ShardState::Pending:
-        return "pending";
-    case ShardState::Running:
-        return "running";
-    case ShardState::Backoff:
-        return "backoff";
-    case ShardState::Done:
-        return "done";
-    case ShardState::Exhausted:
-        return "exhausted";
-    }
-    return "unknown";
-}
-
 double
 supervisorBackoffSeconds(const SupervisorConfig &config,
                          unsigned failures)

@@ -82,9 +82,6 @@ enum class ShardState
     Exhausted, //!< retry budget spent without success
 };
 
-/** Canonical lowercase name of a ShardState. */
-const char *shardStateName(ShardState state);
-
 /**
  * One unit of work executed in a forked child: either a full shard
  * (resume semantics, canonical shard file) or a steal slice (explicit

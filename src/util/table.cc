@@ -94,23 +94,4 @@ TextTable::print(std::ostream &os) const
     rule();
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                os << ',';
-            os << row[i];
-        }
-        os << '\n';
-    };
-    if (!title_.empty())
-        os << "# " << title_ << '\n';
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-}
-
 } // namespace sbn

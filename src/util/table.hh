@@ -50,9 +50,6 @@ class TextTable
     /** Render the table to a stream. */
     void print(std::ostream &os) const;
 
-    /** Render as CSV (title emitted as a comment line). */
-    void printCsv(std::ostream &os) const;
-
     /** Format a double to fixed precision. */
     static std::string formatFixed(double value, int precision = 3);
 

@@ -726,26 +726,32 @@ TEST(Exec, DefaultThreadsOverrideRoundTrips)
 
 TEST(Exec, ParseThreadsSpecAcceptsSaneValues)
 {
-    EXPECT_EQ(parseThreadsSpec("1"), 1u);
-    EXPECT_EQ(parseThreadsSpec("16"), 16u);
-    EXPECT_EQ(parseThreadsSpec("4096"), 4096u);
-    EXPECT_EQ(parseThreadsSpec(" 8 "), 8u);
-    EXPECT_EQ(parseThreadsSpec("0"), 0u); // 0 = all hardware threads
+    const char *env = "SBN_THREADS";
+    EXPECT_EQ(parseThreadsSpec("1", env), 1u);
+    EXPECT_EQ(parseThreadsSpec("16", env), 16u);
+    EXPECT_EQ(parseThreadsSpec("4096", env), 4096u);
+    EXPECT_EQ(parseThreadsSpec(" 8 ", env), 8u);
+    EXPECT_EQ(parseThreadsSpec("0", env), 0u); // 0 = all hardware threads
 }
 
 TEST(Exec, ParseThreadsSpecRejectsGarbageLoudly)
 {
     // A typo in SBN_THREADS must fail fast with a clear message, not
     // silently fall back to serial execution.
-    EXPECT_DEATH((void)parseThreadsSpec(""), "empty value");
-    EXPECT_DEATH((void)parseThreadsSpec("   "), "empty value");
-    EXPECT_DEATH((void)parseThreadsSpec("four"), "not a number");
-    EXPECT_DEATH((void)parseThreadsSpec("8x"), "not a number");
-    EXPECT_DEATH((void)parseThreadsSpec("2.5"), "not a number");
-    EXPECT_DEATH((void)parseThreadsSpec("-4"), "negative");
-    EXPECT_DEATH((void)parseThreadsSpec("5000"), "out of range");
-    EXPECT_DEATH((void)parseThreadsSpec("99999999999999999999"),
+    const char *env = "SBN_THREADS";
+    EXPECT_DEATH((void)parseThreadsSpec("", env), "empty value");
+    EXPECT_DEATH((void)parseThreadsSpec("   ", env), "empty value");
+    EXPECT_DEATH((void)parseThreadsSpec("four", env),
+                 "SBN_THREADS: 'four' is not a number");
+    EXPECT_DEATH((void)parseThreadsSpec("8x", env), "not a number");
+    EXPECT_DEATH((void)parseThreadsSpec("2.5", env), "not a number");
+    EXPECT_DEATH((void)parseThreadsSpec("-4", env), "negative");
+    EXPECT_DEATH((void)parseThreadsSpec("5000", env), "out of range");
+    EXPECT_DEATH((void)parseThreadsSpec("99999999999999999999", env),
                  "out of range");
+    // The --threads flag path names the flag, not the variable.
+    EXPECT_DEATH((void)parseThreadsSpec("abc", "--threads"),
+                 "--threads: 'abc' is not a number");
 }
 
 } // namespace

@@ -731,15 +731,6 @@ TEST(FaultDeathTest, MalformedFaultSpecIsFatalNotIgnored)
 
 // -------------------------------------------------------- plumbing
 
-TEST(Supervisor, StateNamesAreStable)
-{
-    EXPECT_STREQ(shardStateName(ShardState::Pending), "pending");
-    EXPECT_STREQ(shardStateName(ShardState::Running), "running");
-    EXPECT_STREQ(shardStateName(ShardState::Backoff), "backoff");
-    EXPECT_STREQ(shardStateName(ShardState::Done), "done");
-    EXPECT_STREQ(shardStateName(ShardState::Exhausted), "exhausted");
-}
-
 TEST(Supervisor, ManifestPathIsCanonical)
 {
     EXPECT_EQ(missingManifestPath("out"), "out/missing-points.json");

@@ -32,16 +32,6 @@ TEST(TextTable, RendersHeaderAndRows)
     EXPECT_NE(out.find("3.000"), std::string::npos);
 }
 
-TEST(TextTable, CsvOutput)
-{
-    TextTable t("title");
-    t.setHeader({"a", "b"});
-    t.addRow({"1", "2"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "# title\na,b\n1,2\n");
-}
-
 TEST(TextTable, FormatNumberPrecision)
 {
     EXPECT_EQ(TextTable::formatFixed(1.23456, 3), "1.235");
