@@ -30,6 +30,7 @@
 #include "exec/adaptive.hh"
 #include "exec/parallel_runner.hh"
 #include "exec/sweep.hh"
+#include "shard/merge.hh"
 #include "shard/runner.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -188,10 +189,10 @@ shardedSweepEbw(const std::vector<SystemConfig> &points)
 {
     ShardMode &mode = shardMode();
     const std::string path = mode.nextPath();
-    const ShardRunStats stats = runShardSweep(
-        points, mode.shard, mode.layout,
-        [](const SystemConfig &cfg) { return runEbw(cfg); }, path,
-        mode.resume);
+    const ShardRunStats stats =
+        runOwnedShard(sweepMergeCheck(points).expectedRunFp, mode.shard,
+                      mode.layout, plainRecordStep(points), path,
+                      mode.resume);
     std::printf("shard %s: %zu/%zu point(s) computed, %zu resumed "
                 "-> %s\n",
                 mode.shard.toString().c_str(), stats.computed,
@@ -204,24 +205,21 @@ shardedSweepEbw(const std::vector<SystemConfig> &points)
     return values;
 }
 
-/** Evaluate EBW at each materialized point of a sweep, in grid order. */
-inline std::vector<double>
-sweepEbw(const SweepSpec &spec)
-{
-    if (shardMode().active)
-        return shardedSweepEbw(spec.materialize());
-    return runner().sweep(
-        spec, [](const SystemConfig &cfg) { return runEbw(cfg); });
-}
-
 /** Evaluate EBW over an explicit config list, results in input order. */
 inline std::vector<double>
 sweepEbw(const std::vector<SystemConfig> &points)
 {
     if (shardMode().active)
         return shardedSweepEbw(points);
-    return runner().mapConfigs(
-        points, [](const SystemConfig &cfg) { return runEbw(cfg); });
+    return runner().map<double>(
+        points.size(), [&](std::size_t i) { return runEbw(points[i]); });
+}
+
+/** Evaluate EBW at each materialized point of a sweep, in grid order. */
+inline std::vector<double>
+sweepEbw(const SweepSpec &spec)
+{
+    return sweepEbw(spec.materialize());
 }
 
 /**
@@ -240,12 +238,12 @@ sweepEbwStreamed(
 {
     sbn_assert(row_width >= 1 && spec.size() % row_width == 0,
                "row width must evenly divide the sweep grid");
+    const std::vector<SystemConfig> points = spec.materialize();
     if (shardMode().active) {
         // Shard mode: rows materialize after the shard finishes
         // (cells other shards own are nan), so stream them all at
         // the end instead of progressively.
-        const std::vector<double> values =
-            shardedSweepEbw(spec.materialize());
+        const std::vector<double> values = shardedSweepEbw(points);
         for (std::size_t row = 0; row * row_width < values.size();
              ++row)
             onRow(row,
@@ -259,9 +257,9 @@ sweepEbwStreamed(
     std::vector<double> cells;
     cells.reserve(row_width);
     std::size_t row = 0;
-    return runner().sweepStreamed(
-        spec, [](const SystemConfig &cfg) { return runEbw(cfg); },
-        [&](std::size_t, const SystemConfig &, double value) {
+    return runner().stream<double>(
+        points.size(), [&](std::size_t i) { return runEbw(points[i]); },
+        [&](std::size_t, const double &value) {
             // Callbacks arrive in flat-index order, so consecutive
             // cells fill each row left to right.
             cells.push_back(value);
@@ -291,13 +289,15 @@ adaptiveSweepEbw(const SweepSpec &spec, const PrecisionTarget &target,
         return runEbw(c);
     };
 
+    const std::vector<SystemConfig> points = spec.materialize();
     if (shardMode().active) {
         ShardMode &mode = shardMode();
-        const std::vector<SystemConfig> points = spec.materialize();
         const std::string path = mode.nextPath();
-        const ShardRunStats stats = runShardAdaptive(
-            points, mode.shard, mode.layout, target, schedule,
-            experiment, path, mode.resume);
+        const ShardRunStats stats = runOwnedShard(
+            adaptiveMergeCheck(points, target, schedule).expectedRunFp,
+            mode.shard, mode.layout,
+            adaptiveRecordStep(points, target, schedule, experiment),
+            path, mode.resume);
         std::printf("shard %s: %zu/%zu point(s) computed, %zu "
                     "resumed -> %s\n",
                     mode.shard.toString().c_str(), stats.computed,
@@ -324,7 +324,7 @@ adaptiveSweepEbw(const SweepSpec &spec, const PrecisionTarget &target,
     }
 
     const AdaptiveReplicator replicator(runner(), target, schedule);
-    return replicator.sweep(spec, experiment, onPoint);
+    return replicator.runPoints(points, experiment, onPoint);
 }
 
 /** One-line adaptivity summary for an adaptive sweep's estimates. */

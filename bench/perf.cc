@@ -306,8 +306,10 @@ BM_ParallelSweepScaling(benchmark::State &state)
     std::uint64_t seed = 1;
     for (auto _ : state) {
         spec.base.seed = seed++;
-        const auto grid = runner.sweep(
-            spec, [](const SystemConfig &cfg) { return runEbw(cfg); });
+        const std::vector<SystemConfig> points = spec.materialize();
+        const auto grid = runner.map<double>(
+            points.size(),
+            [&](std::size_t i) { return runEbw(points[i]); });
         benchmark::DoNotOptimize(grid.data());
         cycles += spec.size() * spec.base.measureCycles;
     }

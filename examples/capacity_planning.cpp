@@ -71,8 +71,10 @@ main(int argc, char **argv)
             spec.modules.push_back(m);
         for (int r = 2; r <= max_r; r += 2)
             spec.memoryRatios.push_back(r);
-        const std::vector<double> grid = runner.sweep(
-            spec, [](const SystemConfig &cfg) { return runEbw(cfg); });
+        const std::vector<SystemConfig> points = spec.materialize();
+        const std::vector<double> grid = runner.map<double>(
+            points.size(),
+            [&](std::size_t i) { return runEbw(points[i]); });
         const std::size_t num_rs = spec.memoryRatios.size();
 
         int found_any = 0;

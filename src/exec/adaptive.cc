@@ -82,16 +82,6 @@ AdaptiveReplicator::run(
 }
 
 std::vector<AdaptiveEstimate>
-AdaptiveReplicator::sweep(
-    const SweepSpec &spec,
-    const std::function<double(const SystemConfig &, std::uint64_t)>
-        &experiment,
-    const PointCallback &onPoint) const
-{
-    return runPoints(spec.materialize(), experiment, onPoint);
-}
-
-std::vector<AdaptiveEstimate>
 AdaptiveReplicator::runPoints(
     const std::vector<SystemConfig> &points,
     const std::function<double(const SystemConfig &, std::uint64_t)>
@@ -197,32 +187,6 @@ AdaptiveReplicator::runPoints(
                         std::to_string(open_points)}});
     }
     return results;
-}
-
-std::vector<AdaptiveEstimate>
-AdaptiveReplicator::runPointsSubset(
-    const std::vector<SystemConfig> &points,
-    const std::vector<std::size_t> &subset,
-    const std::function<double(const SystemConfig &, std::uint64_t)>
-        &experiment,
-    const PointCallback &onPoint) const
-{
-    std::vector<SystemConfig> selected;
-    selected.reserve(subset.size());
-    for (std::size_t k = 0; k < subset.size(); ++k) {
-        sbn_assert(subset[k] < points.size(),
-                   "shard subset index out of range");
-        sbn_assert(k == 0 || subset[k - 1] < subset[k],
-                   "shard subset indices must be strictly increasing");
-        selected.push_back(points[subset[k]]);
-    }
-    PointCallback remapped;
-    if (onPoint)
-        remapped = [&](std::size_t local, const SystemConfig &cfg,
-                       const AdaptiveEstimate &estimate) {
-            onPoint(subset[local], cfg, estimate);
-        };
-    return runPoints(selected, experiment, remapped);
 }
 
 } // namespace sbn

@@ -5,7 +5,7 @@
  * An AdaptiveReplicator grows the replication count of a seeded
  * experiment in deterministic rounds until the Student-t confidence
  * half-width meets a relative/absolute precision target or a
- * replication cap is reached. The sweep form runs one adaptive
+ * replication cap is reached. The point-list form runs one adaptive
  * estimate per grid point, schedules every round's extra replications
  * on the shared pool, and surfaces finished points through an ordered
  * streaming callback in flat-grid order.
@@ -28,7 +28,6 @@
 
 #include "core/config.hh"
 #include "exec/parallel_runner.hh"
-#include "exec/sweep.hh"
 #include "stats/accumulator.hh"
 
 namespace sbn {
@@ -103,7 +102,7 @@ class AdaptiveReplicator
         std::uint64_t master_seed = 1) const;
 
     /**
-     * Ordered streaming callback for sweep()/runPoints(): invoked
+     * Ordered streaming callback for runPoints(): invoked
      * once per grid point, in flat-index order, as soon as the point
      * and all its predecessors have finalized (converged or capped).
      * Points finalize at round barriers, so callbacks fire on the
@@ -113,46 +112,25 @@ class AdaptiveReplicator
         std::size_t, const SystemConfig &, const AdaptiveEstimate &)>;
 
     /**
-     * One adaptive estimate per materialized grid point of @p spec.
-     * Each point's replication seeds derive from that point's
-     * config.seed; @p experiment receives the point configuration and
-     * the derived per-replication seed. Every round fans the still-
-     * unconverged points' new replications across the pool as one
-     * flat work list, so late-converging points keep all workers
-     * busy. Result i corresponds to point i of spec.materialize().
+     * One adaptive estimate per point of @p points. Each point's
+     * replication seeds derive from that point's config.seed;
+     * @p experiment receives the point configuration and the derived
+     * per-replication seed. Every round fans the still-unconverged
+     * points' new replications across the pool as one flat work
+     * list, so late-converging points keep all workers busy. Result
+     * i corresponds to points[i].
+     *
+     * A point's round schedule, seed stream and convergence decision
+     * depend only on its own config, never on which other points
+     * share the call, so any subset of a grid estimates each of its
+     * points bit-identically to the full run. The sharded-sweep
+     * layer (src/shard/) relies on this.
      */
-    std::vector<AdaptiveEstimate>
-    sweep(const SweepSpec &spec,
-          const std::function<double(const SystemConfig &,
-                                     std::uint64_t)> &experiment,
-          const PointCallback &onPoint = {}) const;
-
-    /** sweep() over an explicit, already-materialized point list. */
     std::vector<AdaptiveEstimate>
     runPoints(const std::vector<SystemConfig> &points,
               const std::function<double(const SystemConfig &,
                                          std::uint64_t)> &experiment,
               const PointCallback &onPoint = {}) const;
-
-    /**
-     * Shard-aware form of runPoints(): adaptively estimate only the
-     * points whose global flat indices are in @p subset (strictly
-     * increasing), invoking @p onPoint with global indices. Result
-     * slot k corresponds to subset[k].
-     *
-     * A point's round schedule, seed stream and convergence decision
-     * depend only on that point's own config (seeds derive from
-     * config.seed, the schedule is fixed), never on which other
-     * points share the batch - so each subset estimate is
-     * bit-identical to the same point's estimate in the full run, at
-     * any thread count. The sharded-sweep merge layer relies on this.
-     */
-    std::vector<AdaptiveEstimate>
-    runPointsSubset(const std::vector<SystemConfig> &points,
-                    const std::vector<std::size_t> &subset,
-                    const std::function<double(const SystemConfig &,
-                                               std::uint64_t)> &experiment,
-                    const PointCallback &onPoint = {}) const;
 
   private:
     ParallelRunner &runner_;

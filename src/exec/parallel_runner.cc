@@ -183,71 +183,6 @@ ParallelRunner::runReplications(
     return e;
 }
 
-std::vector<double>
-ParallelRunner::sweep(
-    const SweepSpec &spec,
-    const std::function<double(const SystemConfig &)> &evaluate)
-{
-    return mapConfigs(spec.materialize(), evaluate);
-}
-
-std::vector<double>
-ParallelRunner::mapConfigs(
-    const std::vector<SystemConfig> &points,
-    const std::function<double(const SystemConfig &)> &evaluate)
-{
-    return map<double>(points.size(), [&](std::size_t i) {
-        return evaluate(points[i]);
-    });
-}
-
-std::vector<double>
-ParallelRunner::sweepStreamed(
-    const SweepSpec &spec,
-    const std::function<double(const SystemConfig &)> &evaluate,
-    const SweepCallback &onPoint)
-{
-    return mapConfigsStreamed(spec.materialize(), evaluate, onPoint);
-}
-
-std::vector<double>
-ParallelRunner::mapConfigsStreamed(
-    const std::vector<SystemConfig> &points,
-    const std::function<double(const SystemConfig &)> &evaluate,
-    const SweepCallback &onPoint)
-{
-    if (!onPoint)
-        return mapConfigs(points, evaluate);
-    return stream<double>(
-        points.size(),
-        [&](std::size_t i) { return evaluate(points[i]); },
-        [&](std::size_t i, const double &value) {
-            onPoint(i, points[i], value);
-        });
-}
-
-std::vector<double>
-ParallelRunner::mapConfigsStreamedSubset(
-    const std::vector<SystemConfig> &points,
-    const std::vector<std::size_t> &subset,
-    const std::function<double(const SystemConfig &)> &evaluate,
-    const SweepCallback &onPoint)
-{
-    for (std::size_t k = 0; k < subset.size(); ++k) {
-        sbn_assert(subset[k] < points.size(),
-                   "shard subset index out of range");
-        sbn_assert(k == 0 || subset[k - 1] < subset[k],
-                   "shard subset indices must be strictly increasing");
-    }
-    return stream<double>(
-        subset.size(),
-        [&](std::size_t k) { return evaluate(points[subset[k]]); },
-        [&](std::size_t k, const double &value) {
-            if (onPoint)
-                onPoint(subset[k], points[subset[k]], value);
-        });
-}
-
 ParallelRunner &
 sharedParallelRunner(unsigned threads)
 {

@@ -20,8 +20,6 @@
 #include <mutex>
 #include <vector>
 
-#include "core/config.hh"
-#include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
 #include "stats/accumulator.hh"
 
@@ -153,63 +151,6 @@ class ParallelRunner
         const std::function<double(std::uint64_t)> &experiment,
         unsigned replications, std::uint64_t master_seed = 1,
         double level = 0.95);
-
-    /**
-     * Evaluate @p evaluate on every materialized point of @p spec
-     * concurrently; result i corresponds to point i of
-     * spec.materialize() (the documented grid order).
-     */
-    std::vector<double>
-    sweep(const SweepSpec &spec,
-          const std::function<double(const SystemConfig &)> &evaluate);
-
-    /** sweep() over an explicit, already-materialized point list. */
-    std::vector<double> mapConfigs(
-        const std::vector<SystemConfig> &points,
-        const std::function<double(const SystemConfig &)> &evaluate);
-
-    /**
-     * Ordered streaming callback invoked once per grid point with its
-     * flat index, configuration, and result. See stream() for the
-     * ordering and threading guarantees.
-     */
-    using SweepCallback = std::function<void(
-        std::size_t, const SystemConfig &, double)>;
-
-    /**
-     * sweep() that additionally surfaces each grid point through
-     * @p onPoint in flat-index order as soon as it and all its
-     * predecessors finish, so callers can render results
-     * progressively. The returned vector is identical to sweep().
-     */
-    std::vector<double> sweepStreamed(
-        const SweepSpec &spec,
-        const std::function<double(const SystemConfig &)> &evaluate,
-        const SweepCallback &onPoint);
-
-    /** sweepStreamed() over an explicit point list. */
-    std::vector<double> mapConfigsStreamed(
-        const std::vector<SystemConfig> &points,
-        const std::function<double(const SystemConfig &)> &evaluate,
-        const SweepCallback &onPoint);
-
-    /**
-     * Shard-aware streaming entry point: evaluate only the points
-     * whose *global* flat indices are listed in @p subset (strictly
-     * increasing, all < points.size()), streaming them through
-     * @p onPoint with their global indices in increasing order.
-     * Result slot k corresponds to subset[k].
-     *
-     * Because every point is an independent seeded run, the value
-     * computed for global index i here is bit-identical to the value
-     * the full mapConfigsStreamed() run computes for i - this is the
-     * property the sharded-sweep merge layer (src/shard/) rests on.
-     */
-    std::vector<double> mapConfigsStreamedSubset(
-        const std::vector<SystemConfig> &points,
-        const std::vector<std::size_t> &subset,
-        const std::function<double(const SystemConfig &)> &evaluate,
-        const SweepCallback &onPoint);
 
   private:
     unsigned threads_;

@@ -206,7 +206,7 @@ parseSweepRunOptions(const CommandLine &cli)
         opt.threads = parseThreadsSpec(
             cli.getString("threads", "1").c_str(), "--threads");
         // parseThreadsSpec keeps "0 = all hardware threads" symbolic;
-        // resolve it here so 0 never reaches the runShard*/runner
+        // resolve it here so 0 never reaches the record-step
         // plumbing, where 0 means "defaultExecThreads()" (serial
         // unless SBN_THREADS is set) instead.
         if (opt.threads == 0)
@@ -356,12 +356,6 @@ specParsesCleanly(const std::string &spec)
     return WIFEXITED(status) && WEXITSTATUS(status) == 0;
 }
 
-double
-evaluateSweepPoint(const SystemConfig &cfg)
-{
-    return runEbw(cfg);
-}
-
 PointSample
 evaluateSweepPointSample(const SystemConfig &cfg)
 {
@@ -385,25 +379,34 @@ sweepRunMergeCheck(const SweepRunOptions &opt,
                : sweepMergeCheck(points);
 }
 
+RecordStep
+sweepRecordStep(const SweepRunOptions &opt,
+                const std::vector<SystemConfig> &points)
+{
+    if (opt.adaptive)
+        return adaptiveRecordStep(points, opt.target, opt.schedule,
+                                  evaluateSweepReplication, opt.threads);
+    return plainRecordStep(points, evaluateSweepPointSample,
+                           opt.threads);
+}
+
+namespace {
+
+/**
+ * Run one full shard with @p step into its canonical file under
+ * @p dir: the --shard mode and the supervised worker body share this.
+ */
 ShardRunStats
-runSweepShard(const SweepRunOptions &opt, const ShardSpec &shard,
-              const std::string &dir, bool resume)
+runShardFile(const SweepRunOptions &opt, const RecordStep &step,
+             const std::vector<std::uint64_t> &expected_run_fp,
+             const ShardSpec &shard, const std::string &dir,
+             bool resume)
 {
     const std::string path = shardFilePath(dir, shard);
     const TraceContext ctx = currentTraceContext();
     const std::uint64_t startUs = traceNowMicros();
-    ShardRunStats stats;
-    if (opt.adaptive)
-        stats = runShardAdaptive(opt.spec, shard, opt.layout,
-                                 opt.target, opt.schedule,
-                                 evaluateSweepReplication, path,
-                                 resume, opt.threads);
-    else
-        stats = runShardSweep(
-            opt.spec, shard, opt.layout,
-            std::function<PointSample(const SystemConfig &)>(
-                evaluateSweepPointSample),
-            path, resume, opt.threads);
+    const ShardRunStats stats = runOwnedShard(
+        expected_run_fp, shard, opt.layout, step, path, resume);
     // The worker's own view of the attempt: emitted from inside the
     // (possibly forked) worker process, so a supervised run's merged
     // timeline shows spans from every process of the fleet.
@@ -424,33 +427,31 @@ runSweepShard(const SweepRunOptions &opt, const ShardSpec &shard,
     return stats;
 }
 
+/**
+ * The WorkerBody a supervised sweep forks per shard: full shards run
+ * with resume semantics on respawn, steal slices compute an explicit
+ * point list. @p points and @p expected_run_fp must outlive the body.
+ */
 WorkerBody
 makeSweepWorkerBody(const SweepRunOptions &opt,
                     const std::vector<SystemConfig> &points,
+                    const std::vector<std::uint64_t> &expected_run_fp,
                     const std::string &dir, bool resume_first_launch)
 {
     // Workers are forked before the calling process creates any
     // thread pool, so each child owns a clean single-threaded image
-    // and builds its own. Each worker defaults to one thread.
+    // and builds its own (the step resolves its runner when it runs).
+    // Each worker defaults to one thread.
     SweepRunOptions worker = opt;
     if (worker.threads == 0)
         worker.threads = 1;
-    return [worker, &points, dir,
+    const RecordStep step = sweepRecordStep(worker, points);
+    return [worker, step, &expected_run_fp, dir,
             resume_first_launch](const WorkerTask &task) {
         if (task.steal) {
             const TraceContext ctx = currentTraceContext();
             const std::uint64_t startUs = traceNowMicros();
-            if (worker.adaptive)
-                runStolenPointsAdaptive(
-                    points, task.points, worker.target,
-                    worker.schedule, evaluateSweepReplication,
-                    task.outPath, worker.threads);
-            else
-                runStolenPointsSweep(
-                    points, task.points,
-                    std::function<PointSample(const SystemConfig &)>(
-                        evaluateSweepPointSample),
-                    task.outPath, worker.threads);
+            runStealSlice(task.points, step, task.outPath);
             traceEmitSpan(ctx, "steal_run", "steal slice run",
                           ctx.spanId, startUs, traceNowMicros(),
                           {{"points",
@@ -459,10 +460,22 @@ makeSweepWorkerBody(const SweepRunOptions &opt,
         } else {
             // A respawn must keep the dead worker's flushed records;
             // first launches honor the caller's resume choice.
-            runSweepShard(worker, task.shard, dir,
-                          resume_first_launch || task.attempt > 0);
+            runShardFile(worker, step, expected_run_fp, task.shard, dir,
+                         resume_first_launch || task.attempt > 0);
         }
     };
+}
+
+} // namespace
+
+ShardRunStats
+runSweepShard(const SweepRunOptions &opt, const ShardSpec &shard,
+              const std::string &dir, bool resume)
+{
+    const std::vector<SystemConfig> points = opt.spec.materialize();
+    return runShardFile(opt, sweepRecordStep(opt, points),
+                        sweepRunMergeCheck(opt, points).expectedRunFp,
+                        shard, dir, resume);
 }
 
 SupervisedSweepOutcome
@@ -489,7 +502,8 @@ runSupervisedSweep(const SweepRunOptions &opt, std::size_t shard_count,
 
     ShardSupervisor supervisor(
         config,
-        makeSweepWorkerBody(opt, points, dir, resume_first_launch));
+        makeSweepWorkerBody(opt, points, check.expectedRunFp, dir,
+                            resume_first_launch));
 
     SupervisedSweepOutcome outcome;
     outcome.report = supervisor.run();

@@ -142,33 +142,29 @@ void armSweepTracing(const SweepRunOptions &opt,
 MergeCheck sweepRunMergeCheck(const SweepRunOptions &opt,
                               const std::vector<SystemConfig> &points);
 
+/**
+ * The record step of @p opt's mode over @p points: plainRecordStep()
+ * with evaluateSweepPointSample, or adaptiveRecordStep() with
+ * evaluateSweepReplication and @p opt's precision setup. The one
+ * place a sweep run picks between the two. @p points must outlive
+ * the step.
+ */
+RecordStep sweepRecordStep(const SweepRunOptions &opt,
+                           const std::vector<SystemConfig> &points);
+
 /** Run one full shard of @p opt's sweep into its canonical file under
- *  @p dir, reporting stats on stderr (the worker body and --shard
- *  mode share this). */
+ *  @p dir, reporting stats on stderr (the --shard mode). */
 ShardRunStats runSweepShard(const SweepRunOptions &opt,
                             const ShardSpec &shard,
                             const std::string &dir, bool resume);
 
-/** The one-seeded-run-per-point evaluator (plain sweeps). */
-double evaluateSweepPoint(const SystemConfig &cfg);
-
-/** evaluateSweepPoint() returning the full PointSample (EBW +
- *  latency summary when cfg.collectLatency). */
+/** One seeded run per point, returning the full PointSample (EBW +
+ *  latency summary when cfg.collectLatency); plain sweeps. */
 PointSample evaluateSweepPointSample(const SystemConfig &cfg);
 
 /** The per-replication evaluator (adaptive sweeps). */
 double evaluateSweepReplication(const SystemConfig &cfg,
                                 std::uint64_t seed);
-
-/**
- * The WorkerBody a supervised sweep forks per shard: full shards run
- * with resume semantics on respawn, steal slices compute an explicit
- * point list. @p points must outlive the returned body.
- */
-WorkerBody makeSweepWorkerBody(const SweepRunOptions &opt,
-                               const std::vector<SystemConfig> &points,
-                               const std::string &dir,
-                               bool resume_first_launch);
 
 /** What a supervised sweep run produced. */
 struct SupervisedSweepOutcome

@@ -1,5 +1,6 @@
 #include "shard/fault.hh"
 
+#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <unistd.h>
@@ -230,6 +231,20 @@ setFaultProcessScope(std::size_t shard_index, unsigned attempt)
 {
     g_scopeShard = shard_index;
     g_scopeAttempt = attempt;
+}
+
+unsigned
+faultAttemptFromEnvironment()
+{
+    const char *env = std::getenv(kFaultAttemptEnvVar);
+    if (env == nullptr || *env == '\0')
+        return 0;
+    std::uint64_t attempt = 0;
+    if (!parseClauseValue(env, attempt) || attempt >= kFaultAnyAttempt)
+        sbn_fatal(kFaultAttemptEnvVar, " must be a decimal attempt "
+                  "number below ", kFaultAnyAttempt, ", got '", env,
+                  "'");
+    return static_cast<unsigned>(attempt);
 }
 
 bool

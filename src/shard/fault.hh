@@ -85,8 +85,7 @@ extern const char *const kFaultEnvVar;
 /**
  * Environment variable a manually-launched worker can set to declare
  * its attempt number (the supervisor sets the scope directly in the
- * forked child instead). Read once by setFaultProcessScope()'s
- * default path.
+ * forked child instead). Read by faultAttemptFromEnvironment().
  */
 extern const char *const kFaultAttemptEnvVar;
 
@@ -139,9 +138,18 @@ FaultPlan currentFaultPlan();
  * Declare what this process is, for fault targeting: shard index (or
  * kFaultNoShard) and launch attempt. The supervisor calls this in the
  * forked child; sbn_sweep's --shard path calls it with the CLI spec
- * and the SBN_FAULT_ATTEMPT environment value.
+ * and faultAttemptFromEnvironment().
  */
 void setFaultProcessScope(std::size_t shard_index, unsigned attempt);
+
+/**
+ * The launch attempt SBN_FAULT_ATTEMPT declares: 0 when unset or
+ * empty. The value follows the attempt= clause grammar - decimal
+ * digits only, below kFaultAnyAttempt - and anything else is fatal
+ * with a message naming the variable, so a typo can neither alias a
+ * real attempt nor select the 'any' sentinel.
+ */
+unsigned faultAttemptFromEnvironment();
 
 /** True when @p plan targets this process (shard + attempt match). */
 bool faultArmed(const FaultPlan &plan);

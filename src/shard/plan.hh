@@ -81,10 +81,9 @@ class ShardPlan
     std::size_t shardSize(std::size_t shard) const;
 
     /**
-     * The flat grid indices shard @p shard owns, strictly increasing.
-     * Suitable for the exec-layer subset entry points
-     * (ParallelRunner::mapConfigsStreamedSubset,
-     * AdaptiveReplicator::runPointsSubset).
+     * The flat grid indices shard @p shard owns, strictly increasing:
+     * the index list runOwnedShard() hands its record step
+     * (shard/runner.hh).
      */
     std::vector<std::size_t> indices(std::size_t shard) const;
 

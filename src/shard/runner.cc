@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 
-#include "core/fingerprint.hh"
+#include "exec/parallel_runner.hh"
 #include "util/flatjson.hh"
 #include "util/logging.hh"
 
@@ -14,24 +13,85 @@ namespace sbn {
 
 namespace {
 
-/**
- * Shared scaffolding of both shard run modes: plan the owned
- * indices, resume-filter the existing file, stream the missing
- * points through @p compute, and leave the file in canonical order.
- *
- * @p expected_fp maps owned flat index -> expected run fingerprint.
- * @p compute(missing, writer) must append one record per index of
- * @p missing (strictly increasing), in increasing-index order.
- */
-ShardRunStats
-runShardCommon(
-    std::size_t grid_size, const ShardSpec &shard, ShardLayout layout,
-    const std::map<std::size_t, std::uint64_t> &expected_fp,
-    const std::string &out_path, bool resume,
-    const std::function<void(const std::vector<std::size_t> &,
-                             RecordWriter &)> &compute)
+/** Validate a step's index list: strictly increasing, in range. */
+void
+checkIndices(const std::vector<std::size_t> &indices,
+             std::size_t grid_size)
 {
-    const ShardPlan plan(grid_size, shard.count, layout);
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+        sbn_assert(indices[k] < grid_size,
+                   "record step index out of the grid");
+        sbn_assert(k == 0 || indices[k - 1] < indices[k],
+                   "record step indices must be strictly increasing");
+    }
+}
+
+/** The shared runner a step with @p threads workers uses. Resolved
+ *  per call, so a step built before a fork makes no pool there. */
+ParallelRunner &
+stepRunner(unsigned threads)
+{
+    return sharedParallelRunner(threads != 0 ? threads
+                                             : defaultExecThreads());
+}
+
+} // namespace
+
+RecordStep
+plainRecordStep(const std::vector<SystemConfig> &points,
+                std::function<PointSample(const SystemConfig &)> evaluate,
+                unsigned threads)
+{
+    return [&points, evaluate = std::move(evaluate), threads](
+               const std::vector<std::size_t> &indices,
+               const RecordSink &sink) {
+        checkIndices(indices, points.size());
+        stepRunner(threads).stream<PointSample>(
+            indices.size(),
+            [&](std::size_t k) { return evaluate(points[indices[k]]); },
+            [&](std::size_t k, const PointSample &sample) {
+                sink(makeSweepRecord(indices[k], points[indices[k]],
+                                     sample));
+            });
+    };
+}
+
+RecordStep
+adaptiveRecordStep(
+    const std::vector<SystemConfig> &points,
+    const PrecisionTarget &target, const RoundSchedule &schedule,
+    std::function<double(const SystemConfig &, std::uint64_t)>
+        experiment,
+    unsigned threads)
+{
+    return [&points, target, schedule,
+            experiment = std::move(experiment),
+            threads](const std::vector<std::size_t> &indices,
+                     const RecordSink &sink) {
+        checkIndices(indices, points.size());
+        std::vector<SystemConfig> selected;
+        selected.reserve(indices.size());
+        for (std::size_t index : indices)
+            selected.push_back(points[index]);
+        const AdaptiveReplicator replicator(stepRunner(threads), target,
+                                            schedule);
+        replicator.runPoints(
+            selected, experiment,
+            [&](std::size_t k, const SystemConfig &cfg,
+                const AdaptiveEstimate &estimate) {
+                sink(makeAdaptiveRecord(indices[k], cfg, estimate,
+                                        target, schedule));
+            });
+    };
+}
+
+ShardRunStats
+runOwnedShard(const std::vector<std::uint64_t> &expected_run_fp,
+              const ShardSpec &shard, ShardLayout layout,
+              const RecordStep &step, const std::string &out_path,
+              bool resume)
+{
+    const ShardPlan plan(expected_run_fp.size(), shard.count, layout);
     const std::vector<std::size_t> owned = plan.indices(shard.index);
 
     ShardRunStats stats;
@@ -59,8 +119,8 @@ runShardCommon(
         bool dropped = false;
         bool sorted = true;
         for (const PointRecord &record : parsed) {
-            const auto it = expected_fp.find(record.flatIndex);
-            if (it == expected_fp.end()) {
+            if (record.flatIndex >= plan.gridSize() ||
+                plan.owner(record.flatIndex) != shard.index) {
                 sbn_warn("resume: dropping record for flat index ",
                          record.flatIndex, " in '", out_path,
                          "' - shard ", shard.toString(), " (",
@@ -69,14 +129,16 @@ runShardCommon(
                 dropped = true;
                 continue;
             }
-            if (record.runFp != it->second) {
+            const std::uint64_t expected =
+                expected_run_fp[record.flatIndex];
+            if (record.runFp != expected) {
                 sbn_warn("resume: dropping stale record for flat "
                          "index ",
                          record.flatIndex, " in '", out_path,
                          "' - run fingerprint ",
                          formatFingerprint(record.runFp),
                          " does not match the current sweep (",
-                         formatFingerprint(it->second), ")");
+                         formatFingerprint(expected), ")");
                 dropped = true;
                 continue;
             }
@@ -142,7 +204,7 @@ runShardCommon(
             missing.push_back(index);
     stats.computed = missing.size();
 
-    compute(missing, writer);
+    step(missing, [&](const PointRecord &record) { writer.add(record); });
 
     // A resume that skipped points out of order (kept = {0, 2},
     // computed = {1, 3}) appended behind the kept block; restore
@@ -161,236 +223,15 @@ runShardCommon(
     return stats;
 }
 
-std::map<std::size_t, std::uint64_t>
-ownedFingerprints(const std::vector<SystemConfig> &points,
-                  const ShardSpec &shard, ShardLayout layout,
-                  const std::function<std::uint64_t(std::uint64_t)>
-                      &mix)
-{
-    const ShardPlan plan(points.size(), shard.count, layout);
-    std::map<std::size_t, std::uint64_t> expected;
-    for (std::size_t index : plan.indices(shard.index))
-        expected.emplace(index,
-                         mix(configFingerprint(points[index])));
-    return expected;
-}
-
-/** Validate a stolen-slice index list: strictly increasing, in range. */
-void
-checkStolenIndices(const std::vector<std::size_t> &stolen,
-                   std::size_t grid_size)
-{
-    for (std::size_t k = 0; k < stolen.size(); ++k) {
-        sbn_assert(stolen[k] < grid_size,
-                   "stolen index out of the grid");
-        sbn_assert(k == 0 || stolen[k - 1] < stolen[k],
-                   "stolen indices must be strictly increasing");
-    }
-}
-
-} // namespace
-
 ShardRunStats
-runShardSweep(
-    const std::vector<SystemConfig> &points, const ShardSpec &shard,
-    ShardLayout layout,
-    const std::function<double(const SystemConfig &)> &evaluate,
-    const std::string &out_path, bool resume, unsigned threads)
+runStealSlice(const std::vector<std::size_t> &stolen,
+              const RecordStep &step, const std::string &out_path)
 {
-    const auto expected = ownedFingerprints(
-        points, shard, layout,
-        [](std::uint64_t fp) { return sweepRunFingerprint(fp); });
-
-    ParallelRunner &runner = sharedParallelRunner(
-        threads != 0 ? threads : defaultExecThreads());
-
-    return runShardCommon(
-        points.size(), shard, layout, expected, out_path, resume,
-        [&](const std::vector<std::size_t> &missing,
-            RecordWriter &writer) {
-            runner.mapConfigsStreamedSubset(
-                points, missing, evaluate,
-                [&](std::size_t index, const SystemConfig &cfg,
-                    double value) {
-                    writer.add(makeSweepRecord(index, cfg, value));
-                });
-        });
-}
-
-ShardRunStats
-runShardSweep(
-    const SweepSpec &spec, const ShardSpec &shard, ShardLayout layout,
-    const std::function<double(const SystemConfig &)> &evaluate,
-    const std::string &out_path, bool resume, unsigned threads)
-{
-    return runShardSweep(spec.materialize(), shard, layout, evaluate,
-                         out_path, resume, threads);
-}
-
-ShardRunStats
-runShardSweep(
-    const std::vector<SystemConfig> &points, const ShardSpec &shard,
-    ShardLayout layout,
-    const std::function<PointSample(const SystemConfig &)> &evaluate,
-    const std::string &out_path, bool resume, unsigned threads)
-{
-    const auto expected = ownedFingerprints(
-        points, shard, layout,
-        [](std::uint64_t fp) { return sweepRunFingerprint(fp); });
-
-    ParallelRunner &runner = sharedParallelRunner(
-        threads != 0 ? threads : defaultExecThreads());
-
-    return runShardCommon(
-        points.size(), shard, layout, expected, out_path, resume,
-        [&](const std::vector<std::size_t> &missing,
-            RecordWriter &writer) {
-            runner.stream<PointSample>(
-                missing.size(),
-                [&](std::size_t k) {
-                    return evaluate(points[missing[k]]);
-                },
-                [&](std::size_t k, const PointSample &sample) {
-                    writer.add(makeSweepRecord(
-                        missing[k], points[missing[k]], sample));
-                });
-        });
-}
-
-ShardRunStats
-runShardSweep(
-    const SweepSpec &spec, const ShardSpec &shard, ShardLayout layout,
-    const std::function<PointSample(const SystemConfig &)> &evaluate,
-    const std::string &out_path, bool resume, unsigned threads)
-{
-    return runShardSweep(spec.materialize(), shard, layout, evaluate,
-                         out_path, resume, threads);
-}
-
-ShardRunStats
-runShardAdaptive(
-    const std::vector<SystemConfig> &points, const ShardSpec &shard,
-    ShardLayout layout, const PrecisionTarget &target,
-    const RoundSchedule &schedule,
-    const std::function<double(const SystemConfig &, std::uint64_t)>
-        &experiment,
-    const std::string &out_path, bool resume, unsigned threads)
-{
-    const auto expected = ownedFingerprints(
-        points, shard, layout, [&](std::uint64_t fp) {
-            return adaptiveRunFingerprint(fp, target, schedule);
-        });
-
-    ParallelRunner &runner = sharedParallelRunner(
-        threads != 0 ? threads : defaultExecThreads());
-    const AdaptiveReplicator replicator(runner, target, schedule);
-
-    return runShardCommon(
-        points.size(), shard, layout, expected, out_path, resume,
-        [&](const std::vector<std::size_t> &missing,
-            RecordWriter &writer) {
-            replicator.runPointsSubset(
-                points, missing, experiment,
-                [&](std::size_t index, const SystemConfig &cfg,
-                    const AdaptiveEstimate &estimate) {
-                    writer.add(makeAdaptiveRecord(
-                        index, cfg, estimate, target, schedule));
-                });
-        });
-}
-
-ShardRunStats
-runShardAdaptive(
-    const SweepSpec &spec, const ShardSpec &shard, ShardLayout layout,
-    const PrecisionTarget &target, const RoundSchedule &schedule,
-    const std::function<double(const SystemConfig &, std::uint64_t)>
-        &experiment,
-    const std::string &out_path, bool resume, unsigned threads)
-{
-    return runShardAdaptive(spec.materialize(), shard, layout, target,
-                            schedule, experiment, out_path, resume,
-                            threads);
-}
-
-ShardRunStats
-runStolenPointsSweep(
-    const std::vector<SystemConfig> &points,
-    const std::vector<std::size_t> &stolen,
-    const std::function<double(const SystemConfig &)> &evaluate,
-    const std::string &out_path, unsigned threads)
-{
-    checkStolenIndices(stolen, points.size());
-
-    ParallelRunner &runner = sharedParallelRunner(
-        threads != 0 ? threads : defaultExecThreads());
-
     // Fresh truncate-write: a steal file carries only this launch's
     // records. A predecessor's partial file stays on disk under its
     // own name, so its flushed records still count for the fleet.
     RecordWriter writer(out_path, /*append=*/false);
-    runner.mapConfigsStreamedSubset(
-        points, stolen, evaluate,
-        [&](std::size_t index, const SystemConfig &cfg,
-            double value) {
-            writer.add(makeSweepRecord(index, cfg, value));
-        });
-
-    ShardRunStats stats;
-    stats.owned = stolen.size();
-    stats.computed = stolen.size();
-    return stats;
-}
-
-ShardRunStats
-runStolenPointsSweep(
-    const std::vector<SystemConfig> &points,
-    const std::vector<std::size_t> &stolen,
-    const std::function<PointSample(const SystemConfig &)> &evaluate,
-    const std::string &out_path, unsigned threads)
-{
-    checkStolenIndices(stolen, points.size());
-
-    ParallelRunner &runner = sharedParallelRunner(
-        threads != 0 ? threads : defaultExecThreads());
-
-    RecordWriter writer(out_path, /*append=*/false);
-    runner.stream<PointSample>(
-        stolen.size(),
-        [&](std::size_t k) { return evaluate(points[stolen[k]]); },
-        [&](std::size_t k, const PointSample &sample) {
-            writer.add(
-                makeSweepRecord(stolen[k], points[stolen[k]], sample));
-        });
-
-    ShardRunStats stats;
-    stats.owned = stolen.size();
-    stats.computed = stolen.size();
-    return stats;
-}
-
-ShardRunStats
-runStolenPointsAdaptive(
-    const std::vector<SystemConfig> &points,
-    const std::vector<std::size_t> &stolen,
-    const PrecisionTarget &target, const RoundSchedule &schedule,
-    const std::function<double(const SystemConfig &, std::uint64_t)>
-        &experiment,
-    const std::string &out_path, unsigned threads)
-{
-    checkStolenIndices(stolen, points.size());
-
-    ParallelRunner &runner = sharedParallelRunner(
-        threads != 0 ? threads : defaultExecThreads());
-    const AdaptiveReplicator replicator(runner, target, schedule);
-
-    RecordWriter writer(out_path, /*append=*/false);
-    replicator.runPointsSubset(
-        points, stolen, experiment,
-        [&](std::size_t index, const SystemConfig &cfg,
-            const AdaptiveEstimate &estimate) {
-            writer.add(makeAdaptiveRecord(index, cfg, estimate,
-                                          target, schedule));
-        });
+    step(stolen, [&](const PointRecord &record) { writer.add(record); });
 
     ShardRunStats stats;
     stats.owned = stolen.size();

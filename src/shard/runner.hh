@@ -1,11 +1,19 @@
 /**
  * @file
- * Execution of one shard of a sweep, with resume.
+ * Execution of sweep points into shard record files, with resume.
  *
- * runShardSweep()/runShardAdaptive() compute the grid points a
- * ShardSpec owns under a ShardPlan and append one PointRecord per
- * finished point to the shard's JSONL file, flushing per record so a
- * killed worker loses at most the line it was writing.
+ * A RecordStep computes the PointRecords of a list of flat grid
+ * indices and hands them on in increasing-index order. A sweep has
+ * two kinds: plainRecordStep() (one seeded run per point) and
+ * adaptiveRecordStep() (replications grown per point until a
+ * precision target or cap). Two runs drive a step into a file:
+ *
+ *  - runOwnedShard() computes the points a ShardSpec owns under a
+ *    ShardPlan and appends one record per finished point to the
+ *    shard's JSONL file, flushing per record so a killed worker loses
+ *    at most the line it was writing;
+ *  - runStealSlice() computes an explicit index list (the shard
+ *    supervisor's work-stealing path) into a fresh file.
  *
  * Resume (@p resume = true) first reads the existing file leniently
  * (a truncated final line - the kill artifact - is dropped), keeps
@@ -21,21 +29,24 @@
  * point and a finished resumed shard file is byte-identical to an
  * uninterrupted run's.
  *
- * Determinism: the values computed here are bit-identical to the
- * single-process streamed run's values for the same points (see the
- * exec-layer subset entry points), so merging shard files reproduces
- * the serial result stream exactly.
+ * Determinism: every point is an independent seeded computation - an
+ * adaptive point's seeds and round schedule depend only on its own
+ * config - so a step's record for index i is bit-identical whichever
+ * other indices share the call and at any thread count. Merging shard
+ * and steal files therefore reproduces the serial record stream
+ * exactly.
  */
 
 #ifndef SBN_SHARD_RUNNER_HH
 #define SBN_SHARD_RUNNER_HH
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "core/experiment.hh"
 #include "exec/adaptive.hh"
-#include "exec/sweep.hh"
 #include "shard/plan.hh"
 #include "shard/result_io.hh"
 
@@ -49,101 +60,68 @@ struct ShardRunStats
     std::size_t computed = 0; //!< freshly simulated this run
 };
 
-/**
- * Run shard @p shard of a plain sweep over @p points (one seeded
- * evaluation per point), writing records to @p out_path.
- *
- * @param evaluate point evaluator (e.g. runEbw); must be safe to
- *                 call concurrently when threads > 1
- * @param threads  worker count; 0 = defaultExecThreads()
- */
-ShardRunStats runShardSweep(
-    const std::vector<SystemConfig> &points, const ShardSpec &shard,
-    ShardLayout layout,
-    const std::function<double(const SystemConfig &)> &evaluate,
-    const std::string &out_path, bool resume = false,
-    unsigned threads = 0);
-
-/** runShardSweep() over a SweepSpec (materializes, then runs). */
-ShardRunStats runShardSweep(
-    const SweepSpec &spec, const ShardSpec &shard, ShardLayout layout,
-    const std::function<double(const SystemConfig &)> &evaluate,
-    const std::string &out_path, bool resume = false,
-    unsigned threads = 0);
+/** Receives one finished point's record. */
+using RecordSink = std::function<void(const PointRecord &)>;
 
 /**
- * PointSample-typed plain sweep shard: identical planning, resume
- * and record order, but records carry the sample's latency summary
- * when present (e.g. evaluate = runPointSample under
- * config.collectLatency). EBW values are bit-identical to the
- * double-typed path for the same points.
+ * Computes the records of @p indices (flat grid indices, strictly
+ * increasing) and passes each to the sink exactly once, in
+ * increasing-index order.
  */
-ShardRunStats runShardSweep(
-    const std::vector<SystemConfig> &points, const ShardSpec &shard,
-    ShardLayout layout,
-    const std::function<PointSample(const SystemConfig &)> &evaluate,
-    const std::string &out_path, bool resume = false,
-    unsigned threads = 0);
+using RecordStep = std::function<void(
+    const std::vector<std::size_t> &indices, const RecordSink &sink)>;
 
-/** PointSample-typed runShardSweep() over a SweepSpec. */
-ShardRunStats runShardSweep(
-    const SweepSpec &spec, const ShardSpec &shard, ShardLayout layout,
-    const std::function<PointSample(const SystemConfig &)> &evaluate,
-    const std::string &out_path, bool resume = false,
+/**
+ * The plain-sweep step: one @p evaluate call per point, fanned over
+ * the shared runner with @p threads workers (0 = defaultExecThreads(),
+ * resolved when the step runs), records from makeSweepRecord(). A
+ * sample carries latency only when its config collected it, so with
+ * collectLatency off the records equal the EBW-only ones byte for
+ * byte. @p points must outlive the step; @p evaluate must be safe to
+ * call concurrently when threads > 1.
+ */
+RecordStep plainRecordStep(
+    const std::vector<SystemConfig> &points,
+    std::function<PointSample(const SystemConfig &)> evaluate =
+        runPointSample,
     unsigned threads = 0);
 
 /**
- * Run shard @p shard of an adaptive-precision sweep: each owned point
- * replicates (seeds derived from its config.seed) until @p target or
- * the @p schedule cap, exactly as the single-process adaptive sweep
- * would for that point.
+ * The adaptive-precision step: each point replicates (seeds derived
+ * from its config.seed, @p experiment called per replication) until
+ * @p target or the @p schedule cap, through
+ * AdaptiveReplicator::runPoints(); records from makeAdaptiveRecord().
+ * @p points must outlive the step.
  */
-ShardRunStats runShardAdaptive(
-    const std::vector<SystemConfig> &points, const ShardSpec &shard,
-    ShardLayout layout, const PrecisionTarget &target,
-    const RoundSchedule &schedule,
-    const std::function<double(const SystemConfig &, std::uint64_t)>
-        &experiment,
-    const std::string &out_path, bool resume = false,
-    unsigned threads = 0);
-
-/** runShardAdaptive() over a SweepSpec. */
-ShardRunStats runShardAdaptive(
-    const SweepSpec &spec, const ShardSpec &shard, ShardLayout layout,
+RecordStep adaptiveRecordStep(
+    const std::vector<SystemConfig> &points,
     const PrecisionTarget &target, const RoundSchedule &schedule,
-    const std::function<double(const SystemConfig &, std::uint64_t)>
-        &experiment,
-    const std::string &out_path, bool resume = false,
+    std::function<double(const SystemConfig &, std::uint64_t)>
+        experiment,
     unsigned threads = 0);
 
 /**
- * Run an explicit stolen slice of a plain sweep: compute exactly the
- * flat indices in @p stolen (strictly increasing) and truncate-write
- * their records to @p out_path. Used by the shard supervisor's
- * work-stealing path; values are bit-identical to what the owning
- * shard would have produced, so overlap with the victim is safe.
+ * Run shard @p shard of a sweep into @p out_path: the points it owns
+ * under ShardPlan(expected_run_fp.size(), shard.count, layout),
+ * computed by @p step. @p expected_run_fp holds the run fingerprint
+ * the sweep expects at every flat index (MergeCheck::expectedRunFp);
+ * with @p resume it decides which existing records are kept.
  */
-ShardRunStats runStolenPointsSweep(
-    const std::vector<SystemConfig> &points,
-    const std::vector<std::size_t> &stolen,
-    const std::function<double(const SystemConfig &)> &evaluate,
-    const std::string &out_path, unsigned threads = 0);
+ShardRunStats runOwnedShard(
+    const std::vector<std::uint64_t> &expected_run_fp,
+    const ShardSpec &shard, ShardLayout layout, const RecordStep &step,
+    const std::string &out_path, bool resume = false);
 
-/** PointSample-typed stolen slice (see the shard overload above). */
-ShardRunStats runStolenPointsSweep(
-    const std::vector<SystemConfig> &points,
-    const std::vector<std::size_t> &stolen,
-    const std::function<PointSample(const SystemConfig &)> &evaluate,
-    const std::string &out_path, unsigned threads = 0);
-
-/** Stolen-slice variant of runShardAdaptive(). */
-ShardRunStats runStolenPointsAdaptive(
-    const std::vector<SystemConfig> &points,
-    const std::vector<std::size_t> &stolen,
-    const PrecisionTarget &target, const RoundSchedule &schedule,
-    const std::function<double(const SystemConfig &, std::uint64_t)>
-        &experiment,
-    const std::string &out_path, unsigned threads = 0);
+/**
+ * Run an explicit stolen slice: compute exactly the flat indices in
+ * @p stolen (strictly increasing) with @p step and truncate-write
+ * their records to @p out_path. The records are bit-identical to what
+ * the owning shard writes for the same indices, so overlap with the
+ * victim is safe.
+ */
+ShardRunStats runStealSlice(const std::vector<std::size_t> &stolen,
+                            const RecordStep &step,
+                            const std::string &out_path);
 
 } // namespace sbn
 

@@ -49,7 +49,7 @@
  *
  * The supervisor is policy; execution stays in the worker body
  * callback, which runs in the forked child (for sbn_sweep that is
- * runShardSweep/runShardAdaptive or the steal-slice variants). The
+ * runOwnedShard() or runStealSlice() with the sweep's record step). The
  * deterministic fault plane (shard/fault.hh) targets workers by the
  * scope the supervisor sets in each child, which is how ctest and CI
  * exercise every one of these paths on purpose.

@@ -21,10 +21,12 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/fingerprint.hh"
 #include "exec/adaptive.hh"
 #include "exec/parallel_runner.hh"
 #include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
+#include "shard/runner.hh"
 #include "stats/replication.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -287,7 +289,11 @@ TEST(ParallelRunner, SweepResultsMatchSerialEvaluationInGridOrder)
 
     for (unsigned threads : {1u, 2u, 8u}) {
         ParallelRunner runner(threads);
-        EXPECT_EQ(runner.sweep(spec, evaluate), expected)
+        EXPECT_EQ(runner.map<double>(points.size(),
+                                     [&](std::size_t i) {
+                                         return evaluate(points[i]);
+                                     }),
+                  expected)
             << threads << " threads";
     }
 }
@@ -349,19 +355,24 @@ TEST(ParallelRunner, SweepStreamedMatchesSweepAndStreamsInGridOrder)
         return cfg.numProcessors * 100.0 + cfg.memoryRatio;
     };
 
+    const auto points = spec.materialize();
+    const auto evaluateAt = [&](std::size_t i) {
+        return evaluate(points[i]);
+    };
     ParallelRunner reference(1);
-    const std::vector<double> expected = reference.sweep(spec, evaluate);
+    const std::vector<double> expected =
+        reference.map<double>(points.size(), evaluateAt);
 
     for (unsigned threads : {1u, 2u, 8u}) {
         ParallelRunner runner(threads);
         std::vector<std::size_t> order;
         std::vector<double> streamed;
-        const std::vector<double> grid = runner.sweepStreamed(
-            spec, evaluate,
-            [&](std::size_t i, const SystemConfig &cfg, double value) {
+        const std::vector<double> grid = runner.stream<double>(
+            points.size(), evaluateAt,
+            [&](std::size_t i, const double &value) {
                 order.push_back(i);
                 streamed.push_back(value);
-                EXPECT_EQ(evaluate(cfg), value);
+                EXPECT_EQ(evaluate(points[i]), value);
             });
         EXPECT_EQ(grid, expected) << threads << " threads";
         EXPECT_EQ(streamed, expected) << threads << " threads";
@@ -379,20 +390,25 @@ TEST(ParallelRunner, StreamedSubsetEmitsGlobalIndicesInOrder)
     const auto points = spec.materialize();
     const std::vector<std::size_t> subset{1, 2, 5};
 
+    // The plain record step is the subset entry point: it streams
+    // the listed points' records with their global flat indices.
     for (const unsigned threads : {1u, 4u}) {
-        ParallelRunner runner(threads);
-        std::vector<std::size_t> emitted;
-        const auto values = runner.mapConfigsStreamedSubset(
-            points, subset,
+        const RecordStep step = plainRecordStep(
+            points,
             [](const SystemConfig &cfg) {
-                return static_cast<double>(cfg.numProcessors);
+                PointSample sample;
+                sample.ebw = static_cast<double>(cfg.numProcessors);
+                return sample;
             },
-            [&](std::size_t i, const SystemConfig &cfg,
-                double value) {
-                EXPECT_EQ(static_cast<double>(cfg.numProcessors),
-                          value);
-                emitted.push_back(i);
-            });
+            threads);
+        std::vector<std::size_t> emitted;
+        std::vector<double> values;
+        step(subset, [&](const PointRecord &record) {
+            EXPECT_EQ(record.configFp,
+                      configFingerprint(points[record.flatIndex]));
+            emitted.push_back(record.flatIndex);
+            values.push_back(record.mean);
+        });
         EXPECT_EQ(emitted, subset);
         EXPECT_EQ(values, (std::vector<double>{2.0, 3.0, 6.0}));
     }
@@ -535,8 +551,9 @@ TEST(AdaptiveReplicator, SweepStreamsFinalizedPointsInFlatOrder)
 
     ParallelRunner serial_runner(1);
     const AdaptiveReplicator serial(serial_runner, target, schedule);
+    const std::vector<SystemConfig> points = spec.materialize();
     const std::vector<AdaptiveEstimate> reference =
-        serial.sweep(spec, pointExperiment);
+        serial.runPoints(points, pointExperiment);
     ASSERT_EQ(reference.size(), 12u);
 
     // Wider variances need more rounds - the sweep must be genuinely
@@ -550,8 +567,8 @@ TEST(AdaptiveReplicator, SweepStreamsFinalizedPointsInFlatOrder)
         const AdaptiveReplicator replicator(runner, target, schedule);
         std::vector<std::size_t> order;
         const std::vector<AdaptiveEstimate> results =
-            replicator.sweep(
-                spec, pointExperiment,
+            replicator.runPoints(
+                points, pointExperiment,
                 [&](std::size_t i, const SystemConfig &cfg,
                     const AdaptiveEstimate &estimate) {
                     order.push_back(i);
@@ -594,14 +611,15 @@ TEST(AdaptiveReplicator, SweepStressManyPointsThreadCountInvariant)
 
     ParallelRunner serial_runner(1);
     const AdaptiveReplicator serial(serial_runner, target, schedule);
+    const std::vector<SystemConfig> points = spec.materialize();
     const std::vector<AdaptiveEstimate> reference =
-        serial.sweep(spec, pointExperiment);
+        serial.runPoints(points, pointExperiment);
     ASSERT_EQ(reference.size(), 32u);
 
     ParallelRunner runner(ThreadPool::hardwareThreads() + 3);
     const AdaptiveReplicator replicator(runner, target, schedule);
     const std::vector<AdaptiveEstimate> results =
-        replicator.sweep(spec, pointExperiment);
+        replicator.runPoints(points, pointExperiment);
     for (std::size_t i = 0; i < results.size(); ++i) {
         EXPECT_EQ(results[i].estimate.mean, reference[i].estimate.mean)
             << "point " << i;

@@ -34,6 +34,9 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "exec/adaptive.hh"
+#include "exec/parallel_runner.hh"
+#include "exec/sweep.hh"
 #include "shard/fault.hh"
 #include "shard/merge.hh"
 #include "shard/plan.hh"
@@ -105,6 +108,33 @@ serialBytes(const std::vector<SystemConfig> &points)
     return os.str();
 }
 
+double
+ebwWithSeed(const SystemConfig &cfg, std::uint64_t seed)
+{
+    SystemConfig c = cfg;
+    c.seed = seed;
+    return runEbw(c);
+}
+
+std::string
+serialAdaptiveBytes(const std::vector<SystemConfig> &points,
+                    const PrecisionTarget &target,
+                    const RoundSchedule &schedule)
+{
+    ParallelRunner runner(1);
+    const AdaptiveReplicator replicator(runner, target, schedule);
+    std::ostringstream os;
+    replicator.runPoints(
+        points, ebwWithSeed,
+        [&](std::size_t i, const SystemConfig &cfg,
+            const AdaptiveEstimate &estimate) {
+            os << formatRecord(makeAdaptiveRecord(i, cfg, estimate,
+                                                  target, schedule))
+               << '\n';
+        });
+    return os.str();
+}
+
 /** Supervision config tuned for tests: tiny backoff. */
 SupervisorConfig
 testConfig(const std::string &dir, const MergeCheck &check,
@@ -120,19 +150,37 @@ testConfig(const std::string &dir, const MergeCheck &check,
     return config;
 }
 
-/** Worker body every supervisor test uses: plain sweep, 1 thread. */
+/** Worker body running @p step: owned shards resume on respawn,
+ *  steal slices compute their explicit point list. */
+WorkerBody
+stepBody(const MergeCheck &check, const RecordStep &step)
+{
+    return [expected = check.expectedRunFp, step](const WorkerTask &task) {
+        if (task.steal)
+            runStealSlice(task.points, step, task.outPath);
+        else
+            runOwnedShard(expected, task.shard, ShardLayout::Contiguous,
+                          step, task.outPath,
+                          /*resume=*/task.attempt > 0);
+    };
+}
+
+/** Worker body most supervisor tests use: plain sweep, 1 thread. */
 WorkerBody
 sweepBody(const std::vector<SystemConfig> &points)
 {
-    return [&points](const WorkerTask &task) {
-        if (task.steal)
-            runStolenPointsSweep(points, task.points, ebwOf,
-                                 task.outPath, 1);
-        else
-            runShardSweep(points, task.shard, ShardLayout::Contiguous,
-                          ebwOf, task.outPath,
-                          /*resume=*/task.attempt > 0, 1);
-    };
+    return stepBody(sweepMergeCheck(points),
+                    plainRecordStep(points, runPointSample, 1));
+}
+
+/** One owned shard of a plain sweep over @p points, 1 thread. */
+void
+runPlainShard(const std::vector<SystemConfig> &points,
+              const std::string &path)
+{
+    runOwnedShard(sweepMergeCheck(points).expectedRunFp, {0, 1},
+                  ShardLayout::Contiguous,
+                  plainRecordStep(points, runPointSample, 1), path);
 }
 
 std::string
@@ -420,26 +468,77 @@ TEST(Supervisor, StealRescuesAShardThatNeverMakesProgress)
     // own workers can never contribute a single record. Work
     // stealing targets shard faults by scope, so the steal worker
     // (which is not shard 1) computes the victim's points cleanly
-    // and the fleet still completes byte-identically.
+    // and the fleet still completes byte-identically - for plain and
+    // adaptive sweeps alike.
     const std::vector<SystemConfig> points = testSpec().materialize();
-    const std::string dir = tempDir("steal");
-    MergeCheck check = sweepMergeCheck(points);
-    check.shardCount = 4;
-    check.layout = ShardLayout::Contiguous;
-    check.dir = dir;
+    PrecisionTarget target;
+    target.relative = 0.02;
+    RoundSchedule schedule;
+    schedule.initial = 2;
+    schedule.cap = 8;
 
-    const EnvGuard guard(kFaultEnvVar,
-                         "shard=1,attempt=any,fail_write_at=1");
-    SupervisorConfig config = testConfig(dir, check, 4);
-    config.maxRetries = 0;
-    ShardSupervisor supervisor(config, sweepBody(points));
-    const SupervisorReport report = supervisor.run();
+    for (const bool adaptive : {false, true}) {
+        SCOPED_TRACE(adaptive ? "adaptive" : "plain");
+        const std::string dir =
+            tempDir(adaptive ? "steal_adaptive" : "steal");
+        MergeCheck check =
+            adaptive ? adaptiveMergeCheck(points, target, schedule)
+                     : sweepMergeCheck(points);
+        check.shardCount = 4;
+        check.layout = ShardLayout::Contiguous;
+        check.dir = dir;
+        const RecordStep step =
+            adaptive ? adaptiveRecordStep(points, target, schedule,
+                                          ebwWithSeed, 1)
+                     : plainRecordStep(points, runPointSample, 1);
 
-    ASSERT_TRUE(report.complete);
-    EXPECT_EQ(report.shards[1].state, ShardState::Exhausted);
-    EXPECT_GE(report.stealLaunches, 1u);
-    EXPECT_GE(report.stolenPoints, 2u); // shard 1 owns {2, 3}
-    EXPECT_EQ(mergedBytes(report, check), serialBytes(points));
+        // The owning shard's records, computed in this process (which
+        // the shard=1 fault does not target).
+        const std::string owner_path = dir + "/owner.jsonl";
+        runOwnedShard(check.expectedRunFp, {1, 4},
+                      ShardLayout::Contiguous, step, owner_path);
+        const std::vector<PointRecord> owned =
+            readRecordFile(owner_path, false);
+        ASSERT_EQ(owned.size(), 2u); // shard 1 owns {2, 3}
+        std::remove(owner_path.c_str());
+
+        const EnvGuard guard(kFaultEnvVar,
+                             "shard=1,attempt=any,fail_write_at=1");
+        SupervisorConfig config = testConfig(dir, check, 4);
+        config.maxRetries = 0;
+        ShardSupervisor supervisor(config, stepBody(check, step));
+        const SupervisorReport report = supervisor.run();
+
+        ASSERT_TRUE(report.complete);
+        EXPECT_EQ(report.shards[1].state, ShardState::Exhausted);
+        EXPECT_GE(report.stealLaunches, 1u);
+        EXPECT_GE(report.stolenPoints, 2u);
+
+        // Every steal slice wrote exactly the owner's bytes for the
+        // indices it covered.
+        std::size_t stolen_records = 0;
+        for (const auto &entry :
+             std::filesystem::directory_iterator(dir)) {
+            const std::string name = entry.path().filename().string();
+            if (name.rfind("steal-", 0) != 0)
+                continue;
+            for (const PointRecord &record :
+                 readRecordFile(entry.path().string(), false)) {
+                ASSERT_TRUE(record.flatIndex == 2 ||
+                            record.flatIndex == 3)
+                    << name;
+                EXPECT_EQ(formatRecord(record),
+                          formatRecord(owned[record.flatIndex - 2]))
+                    << name;
+                ++stolen_records;
+            }
+        }
+        EXPECT_GE(stolen_records, 2u);
+
+        EXPECT_EQ(mergedBytes(report, check),
+                  adaptive ? serialAdaptiveBytes(points, target, schedule)
+                           : serialBytes(points));
+    }
 }
 
 TEST(Supervisor, HealthyUnevenFleetLaunchesNoSteals)
@@ -455,20 +554,17 @@ TEST(Supervisor, HealthyUnevenFleetLaunchesNoSteals)
     check.layout = ShardLayout::Contiguous;
     check.dir = dir;
 
-    const std::function<double(const SystemConfig &)> slowEbw =
-        [](const SystemConfig &cfg) {
-            ::usleep(150000);
-            return ebwOf(cfg);
-        };
+    const WorkerBody fast = sweepBody(points);
+    const WorkerBody slow = stepBody(
+        check, plainRecordStep(
+                   points,
+                   [](const SystemConfig &cfg) {
+                       ::usleep(150000);
+                       return runPointSample(cfg);
+                   },
+                   1));
     const WorkerBody body = [&](const WorkerTask &task) {
-        if (task.steal)
-            runStolenPointsSweep(points, task.points, ebwOf,
-                                 task.outPath, 1);
-        else
-            runShardSweep(points, task.shard, ShardLayout::Contiguous,
-                          task.shard.index == 0 ? slowEbw : ebwOf,
-                          task.outPath, /*resume=*/task.attempt > 0,
-                          1);
+        (!task.steal && task.shard.index == 0 ? slow : fast)(task);
     };
     ShardSupervisor supervisor(testConfig(dir, check, 4), body);
     const SupervisorReport report = supervisor.run();
@@ -702,8 +798,7 @@ TEST(FaultDeathTest, AbortInMergeCrashesTheMergeStage)
 {
     const std::vector<SystemConfig> points = testSpec().materialize();
     const std::string dir = tempDir("abortmerge");
-    runShardSweep(points, {0, 1}, ShardLayout::Contiguous, ebwOf,
-                  shardFilePath(dir, {0, 1}), false, 1);
+    runPlainShard(points, shardFilePath(dir, {0, 1}));
 
     const MergeCheck check = sweepMergeCheck(points);
     EXPECT_DEATH(
@@ -722,11 +817,28 @@ TEST(FaultDeathTest, MalformedFaultSpecIsFatalNotIgnored)
         {
             ::setenv(kFaultEnvVar, "kill_after_records=banana", 1);
             std::vector<SystemConfig> one{cfg};
-            runShardSweep(one, {0, 1}, ShardLayout::Contiguous,
-                          ebwOf, shardFilePath(dir, {0, 1}), false,
-                          1);
+            runPlainShard(one, shardFilePath(dir, {0, 1}));
         },
         "must not silently run fault-free");
+
+    // SBN_FAULT_ATTEMPT follows the attempt= grammar: a value that
+    // would wrap onto a real attempt (2^32), the 'any' sentinel
+    // (-1, 2^32 - 1) or a sign must be fatal, not read loosely.
+    {
+        const EnvGuard attempt(kFaultAttemptEnvVar, "3");
+        EXPECT_EQ(faultAttemptFromEnvironment(), 3u);
+    }
+    EXPECT_EQ(faultAttemptFromEnvironment(), 0u);
+    for (const char *bad :
+         {"4294967296", "-1", " +3", "4294967295", "3x", "0x1"}) {
+        EXPECT_DEATH(
+            {
+                ::setenv(kFaultAttemptEnvVar, bad, 1);
+                (void)faultAttemptFromEnvironment();
+            },
+            "SBN_FAULT_ATTEMPT must be a decimal attempt number")
+            << bad;
+    }
 }
 
 // -------------------------------------------------------- plumbing

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "util/flatjson.hh"
 #include "exec/adaptive.hh"
 #include "exec/parallel_runner.hh"
+#include "exec/sweep.hh"
 #include "shard/merge.hh"
 #include "shard/plan.hh"
 #include "shard/result_io.hh"
@@ -77,6 +79,39 @@ ebwWithSeed(const SystemConfig &cfg, std::uint64_t seed)
     SystemConfig c = cfg;
     c.seed = seed;
     return runEbw(c);
+}
+
+/** Plain-sweep shard @p shard of @p points into @p path. */
+ShardRunStats
+plainShard(const std::vector<SystemConfig> &points, const ShardSpec &shard,
+           ShardLayout layout, const std::string &path,
+           bool resume = false, unsigned threads = 0,
+           std::function<PointSample(const SystemConfig &)> evaluate =
+               runPointSample)
+{
+    return runOwnedShard(sweepMergeCheck(points).expectedRunFp, shard,
+                         layout,
+                         plainRecordStep(points, std::move(evaluate),
+                                         threads),
+                         path, resume);
+}
+
+/** Adaptive-sweep shard @p shard of @p points into @p path. */
+ShardRunStats
+adaptiveShard(
+    const std::vector<SystemConfig> &points, const ShardSpec &shard,
+    ShardLayout layout, const PrecisionTarget &target,
+    const RoundSchedule &schedule, const std::string &path,
+    bool resume = false, unsigned threads = 0,
+    std::function<double(const SystemConfig &, std::uint64_t)>
+        experiment = ebwWithSeed)
+{
+    return runOwnedShard(
+        adaptiveMergeCheck(points, target, schedule).expectedRunFp,
+        shard, layout,
+        adaptiveRecordStep(points, target, schedule,
+                           std::move(experiment), threads),
+        path, resume);
 }
 
 // ---------------------------------------------------------------- plan
@@ -307,10 +342,10 @@ TEST(Merge, AcceptsBitIdenticalDuplicatesAcrossFiles)
     const std::vector<SystemConfig> points = testSpec().materialize();
     const std::string a = tempPath("dup_a.jsonl");
     const std::string b = tempPath("dup_b.jsonl");
-    runShardSweep(points, {0, 2}, ShardLayout::Contiguous, ebwOf, a);
+    plainShard(points, {0, 2}, ShardLayout::Contiguous, a);
     // Shard 1's file recomputes the whole grid: overlap with shard 0
     // is bit-identical, so the merge keeps one copy of each.
-    runShardSweep(points, {0, 1}, ShardLayout::Contiguous, ebwOf, b);
+    plainShard(points, {0, 1}, ShardLayout::Contiguous, b);
     const auto merged =
         mergeRecordFiles({a, b}, sweepMergeCheck(points));
     EXPECT_EQ(merged.size(), points.size());
@@ -322,7 +357,7 @@ TEST(MergeDeathTest, RejectsHolesConflictsAndForeignRecords)
 {
     const std::vector<SystemConfig> points = testSpec().materialize();
     const std::string a = tempPath("bad_a.jsonl");
-    runShardSweep(points, {0, 2}, ShardLayout::Contiguous, ebwOf, a);
+    plainShard(points, {0, 2}, ShardLayout::Contiguous, a);
 
     // Holes: shard 1 of 2 never ran.
     EXPECT_DEATH(
@@ -363,10 +398,10 @@ serialSweepBytes(const std::vector<SystemConfig> &points,
 {
     ParallelRunner runner(threads);
     std::ostringstream os;
-    runner.mapConfigsStreamed(
-        points, ebwOf,
-        [&](std::size_t i, const SystemConfig &cfg, double value) {
-            os << formatRecord(makeSweepRecord(i, cfg, value))
+    runner.stream<double>(
+        points.size(), [&](std::size_t i) { return ebwOf(points[i]); },
+        [&](std::size_t i, const double &value) {
+            os << formatRecord(makeSweepRecord(i, points[i], value))
                << '\n';
         });
     return os.str();
@@ -417,8 +452,8 @@ TEST(ShardDeterminism, MergedSweepIsByteIdenticalToSerial)
                         "det_" + std::to_string(threads) + "_" +
                         std::to_string(shards) + "_" +
                         std::to_string(s) + ".jsonl"));
-                    runShardSweep(points, {s, shards}, layout, ebwOf,
-                                  paths.back(), false, threads);
+                    plainShard(points, {s, shards}, layout,
+                               paths.back(), false, threads);
                 }
                 const auto merged = mergeRecordFiles(
                     paths, sweepMergeCheck(points));
@@ -454,10 +489,9 @@ TEST(ShardDeterminism, MergedAdaptiveSweepIsByteIdenticalToSerial)
                     "adet_" + std::to_string(threads) + "_" +
                     std::to_string(shards) + "_" +
                     std::to_string(s) + ".jsonl"));
-                runShardAdaptive(points, {s, shards},
-                                 ShardLayout::Strided, target,
-                                 schedule, ebwWithSeed, paths.back(),
-                                 false, threads);
+                adaptiveShard(points, {s, shards},
+                              ShardLayout::Strided, target, schedule,
+                              paths.back(), false, threads);
             }
             const auto merged = mergeRecordFiles(
                 paths, adaptiveMergeCheck(points, target, schedule));
@@ -476,8 +510,7 @@ TEST(ShardResume, SkipsFinishedPointsAndReproducesIdenticalRecords)
     const std::vector<SystemConfig> points = testSpec().materialize();
     const ShardSpec shard{0, 1};
     const std::string fresh = tempPath("resume_fresh.jsonl");
-    runShardSweep(points, shard, ShardLayout::Contiguous, ebwOf,
-                  fresh);
+    plainShard(points, shard, ShardLayout::Contiguous, fresh);
     const std::string fresh_bytes = fileBytes(fresh);
 
     // Kill after 3 records plus half a line; resume must keep the 3,
@@ -493,11 +526,11 @@ TEST(ShardResume, SkipsFinishedPointsAndReproducesIdenticalRecords)
     std::size_t evaluated = 0;
     const auto counting = [&](const SystemConfig &cfg) {
         ++evaluated;
-        return runEbw(cfg);
+        return runPointSample(cfg);
     };
     const ShardRunStats stats =
-        runShardSweep(points, shard, ShardLayout::Contiguous,
-                      counting, killed, /*resume=*/true);
+        plainShard(points, shard, ShardLayout::Contiguous, killed,
+                   /*resume=*/true, 0, counting);
     EXPECT_EQ(stats.owned, points.size());
     EXPECT_EQ(stats.skipped, 3u);
     EXPECT_EQ(stats.computed, points.size() - 3);
@@ -507,8 +540,8 @@ TEST(ShardResume, SkipsFinishedPointsAndReproducesIdenticalRecords)
 
     // Resuming a complete file computes nothing at all.
     evaluated = 0;
-    runShardSweep(points, shard, ShardLayout::Contiguous, counting,
-                  killed, /*resume=*/true);
+    plainShard(points, shard, ShardLayout::Contiguous, killed,
+               /*resume=*/true, 0, counting);
     EXPECT_EQ(evaluated, 0u);
     EXPECT_EQ(fileBytes(killed), fresh_bytes);
 
@@ -528,17 +561,16 @@ TEST(ShardResume, DiscardsStaleRecordsFromADifferentSetup)
     for (SystemConfig &cfg : other)
         cfg.seed += 17;
     const std::string path = tempPath("resume_stale.jsonl");
-    runShardSweep(other, shard, ShardLayout::Contiguous, ebwOf, path);
+    plainShard(other, shard, ShardLayout::Contiguous, path);
 
-    const ShardRunStats stats = runShardSweep(
-        points, shard, ShardLayout::Contiguous, ebwOf, path,
+    const ShardRunStats stats = plainShard(
+        points, shard, ShardLayout::Contiguous, path,
         /*resume=*/true);
     EXPECT_EQ(stats.skipped, 0u);
     EXPECT_EQ(stats.computed, points.size());
 
     const std::string fresh = tempPath("resume_stale_fresh.jsonl");
-    runShardSweep(points, shard, ShardLayout::Contiguous, ebwOf,
-                  fresh);
+    plainShard(points, shard, ShardLayout::Contiguous, fresh);
     EXPECT_EQ(fileBytes(path), fileBytes(fresh));
 
     std::remove(path.c_str());
@@ -553,8 +585,7 @@ TEST(ShardResume, ReadsATailTornMidFloat)
     const std::vector<SystemConfig> points = testSpec().materialize();
     const ShardSpec shard{0, 1};
     const std::string fresh = tempPath("torn_fresh.jsonl");
-    runShardSweep(points, shard, ShardLayout::Contiguous, ebwOf,
-                  fresh);
+    plainShard(points, shard, ShardLayout::Contiguous, fresh);
     const std::string fresh_bytes = fileBytes(fresh);
 
     // Cut the final line a few characters into its last "0x..." bit
@@ -570,8 +601,8 @@ TEST(ShardResume, ReadsATailTornMidFloat)
     const auto parsed = readRecordFile(torn, true);
     EXPECT_EQ(parsed.size(), points.size() - 1);
 
-    const ShardRunStats stats = runShardSweep(
-        points, shard, ShardLayout::Contiguous, ebwOf, torn,
+    const ShardRunStats stats = plainShard(
+        points, shard, ShardLayout::Contiguous, torn,
         /*resume=*/true);
     EXPECT_EQ(stats.skipped, points.size() - 1);
     EXPECT_EQ(stats.computed, 1u);
@@ -589,8 +620,7 @@ TEST(ShardResume, RemovesStaleRewriteTemps)
     const std::vector<SystemConfig> points = testSpec().materialize();
     const ShardSpec shard{0, 1};
     const std::string path = tempPath("staletmp.jsonl");
-    runShardSweep(points, shard, ShardLayout::Contiguous, ebwOf,
-                  path);
+    plainShard(points, shard, ShardLayout::Contiguous, path);
     const std::string bytes = fileBytes(path);
 
     const std::string stale = path + ".tmp.4242";
@@ -608,8 +638,8 @@ TEST(ShardResume, RemovesStaleRewriteTemps)
         std::ofstream out(stale);
         out << "again\n";
     }
-    runShardSweep(points, shard, ShardLayout::Contiguous, ebwOf,
-                  path, /*resume=*/true);
+    plainShard(points, shard, ShardLayout::Contiguous, path,
+               /*resume=*/true);
     EXPECT_NE(::stat(stale.c_str(), &info), 0);
     EXPECT_EQ(fileBytes(path), bytes);
 
@@ -623,8 +653,8 @@ TEST(MergeDeathTest, MissingPointReportNamesOwnerFilesAndIndices)
     const std::vector<SystemConfig> points = testSpec().materialize();
     const std::string dir = tempPath("missing_report");
     ensureWritableShardDir(dir);
-    runShardSweep(points, {0, 2}, ShardLayout::Contiguous, ebwOf,
-                  shardFilePath(dir, {0, 2}));
+    plainShard(points, {0, 2}, ShardLayout::Contiguous,
+               shardFilePath(dir, {0, 2}));
 
     MergeCheck check = sweepMergeCheck(points);
     check.shardCount = 2;
@@ -649,8 +679,8 @@ TEST(ShardResume, AdaptiveResumeSkipsConvergedPoints)
     const ShardSpec shard{1, 2};
 
     const std::string fresh = tempPath("aresume_fresh.jsonl");
-    runShardAdaptive(points, shard, ShardLayout::Contiguous, target,
-                     schedule, ebwWithSeed, fresh);
+    adaptiveShard(points, shard, ShardLayout::Contiguous, target,
+                  schedule, fresh);
     const std::string fresh_bytes = fileBytes(fresh);
 
     const std::string killed = tempPath("aresume_killed.jsonl");
@@ -660,13 +690,13 @@ TEST(ShardResume, AdaptiveResumeSkipsConvergedPoints)
         out << formatRecord(records[0]) << '\n';
     }
     std::size_t evaluations = 0;
-    const ShardRunStats stats = runShardAdaptive(
-        points, shard, ShardLayout::Contiguous, target, schedule,
+    const ShardRunStats stats = adaptiveShard(
+        points, shard, ShardLayout::Contiguous, target, schedule, killed,
+        /*resume=*/true, 0,
         [&](const SystemConfig &cfg, std::uint64_t seed) {
             ++evaluations;
             return ebwWithSeed(cfg, seed);
-        },
-        killed, /*resume=*/true);
+        });
     EXPECT_EQ(stats.skipped, 1u);
     EXPECT_GT(evaluations, 0u);
     EXPECT_EQ(fileBytes(killed), fresh_bytes);

@@ -20,6 +20,7 @@
 #include "analytic/occupancy_chain.hh"
 #include "core/experiment.hh"
 #include "exec/parallel_runner.hh"
+#include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
 #include "golden_util.hh"
 #include "shard/merge.hh"
@@ -442,16 +443,21 @@ TEST(WorkloadDeterminism, IdenticalAcrossThreadCounts)
     const auto evaluate = [](const SystemConfig &cfg) {
         return runEbw(cfg);
     };
+    const std::vector<SystemConfig> points =
+        hotSpotSpec().materialize();
+    const auto evaluateAt = [&](std::size_t i) {
+        return evaluate(points[i]);
+    };
     ParallelRunner serial(1);
     const std::vector<double> reference =
-        serial.sweep(hotSpotSpec(), evaluate);
+        serial.map<double>(points.size(), evaluateAt);
     ASSERT_EQ(reference.size(), 6u);
 
     for (const unsigned threads :
          {4u, ThreadPool::hardwareThreads()}) {
         ParallelRunner runner(threads);
         const std::vector<double> values =
-            runner.sweep(hotSpotSpec(), evaluate);
+            runner.map<double>(points.size(), evaluateAt);
         ASSERT_EQ(values.size(), reference.size());
         for (std::size_t i = 0; i < values.size(); ++i)
             EXPECT_EQ(values[i], reference[i])
@@ -463,13 +469,13 @@ TEST(WorkloadDeterminism, ShardLayoutsMergeByteIdenticalToSerial)
 {
     const std::vector<SystemConfig> points =
         hotSpotSpec().materialize();
-    const auto evaluate = [](const SystemConfig &cfg) {
-        return runEbw(cfg);
-    };
+    const std::vector<std::uint64_t> expected =
+        sweepMergeCheck(points).expectedRunFp;
+    const RecordStep step = plainRecordStep(points);
 
     // Serial reference: the whole grid as one shard.
     const std::string serial = tempPath("hotspot_serial.jsonl");
-    runShardSweep(points, {0, 1}, ShardLayout::Contiguous, evaluate,
+    runOwnedShard(expected, {0, 1}, ShardLayout::Contiguous, step,
                   serial);
     std::ifstream in(serial, std::ios::binary);
     std::ostringstream serial_bytes;
@@ -483,8 +489,7 @@ TEST(WorkloadDeterminism, ShardLayoutsMergeByteIdenticalToSerial)
                 tempPath("hotspot_" +
                          std::string(shardLayoutName(layout)) + "_" +
                          std::to_string(s) + ".jsonl"));
-            runShardSweep(points, {s, 4}, layout, evaluate,
-                          files.back());
+            runOwnedShard(expected, {s, 4}, layout, step, files.back());
         }
         const std::vector<PointRecord> merged =
             mergeRecordFiles(files, sweepMergeCheck(points));

@@ -189,33 +189,12 @@ runSerial(const Options &opt)
 {
     const std::vector<SystemConfig> points =
         opt.run.spec.materialize();
-    ParallelRunner &runner = sharedParallelRunner(
-        opt.run.threads != 0 ? opt.run.threads : defaultExecThreads());
-
-    if (opt.run.adaptive) {
-        const AdaptiveReplicator replicator(runner, opt.run.target,
-                                            opt.run.schedule);
-        replicator.runPoints(
-            points, evaluateSweepReplication,
-            [&](std::size_t i, const SystemConfig &cfg,
-                const AdaptiveEstimate &estimate) {
-                std::cout << formatRecord(makeAdaptiveRecord(
-                                 i, cfg, estimate, opt.run.target,
-                                 opt.run.schedule))
-                          << '\n';
-            });
-    } else {
-        runner.stream<PointSample>(
-            points.size(),
-            [&](std::size_t i) {
-                return evaluateSweepPointSample(points[i]);
-            },
-            [&](std::size_t i, const PointSample &sample) {
-                std::cout << formatRecord(
-                                 makeSweepRecord(i, points[i], sample))
-                          << '\n';
-            });
-    }
+    std::vector<std::size_t> all(points.size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+        all[i] = i;
+    sweepRecordStep(opt.run, points)(all, [](const PointRecord &record) {
+        std::cout << formatRecord(record) << '\n';
+    });
     std::fprintf(stderr, "swept %zu point(s)\n", points.size());
 }
 
@@ -523,19 +502,7 @@ main(int argc, char **argv)
         // worker is attempt 0 unless SBN_FAULT_ATTEMPT says otherwise
         // (the supervisor sets the scope in its forked children
         // directly).
-        unsigned attempt = 0;
-        if (const char *env = std::getenv(kFaultAttemptEnvVar);
-            env != nullptr && *env != '\0') {
-            char *end = nullptr;
-            errno = 0;
-            const unsigned long parsed = std::strtoul(env, &end, 10);
-            if (*end != '\0' || errno == ERANGE)
-                sbn_fatal(kFaultAttemptEnvVar,
-                          " must be a non-negative integer, got '",
-                          env, "'");
-            attempt = static_cast<unsigned>(parsed);
-        }
-        setFaultProcessScope(shard.index, attempt);
+        setFaultProcessScope(shard.index, faultAttemptFromEnvironment());
         runSweepShard(opt.run, shard, opt.dir, opt.resume);
     } else if (has_merge) {
         const std::vector<std::string> files =
