@@ -95,7 +95,7 @@ runner()
  *   --shard=i/N        run only shard i of N of each sweep grid,
  *                      appending JSONL records per completed point
  *   --shard-dir=DIR    record directory (default bench-shards)
- *   --shard-layout=L   contiguous (default) or strided
+ *   --shard-layout=L   strided (default) or contiguous
  *   --shard-resume     skip points with matching records on disk
  *
  * In shard mode the sweep helpers below compute only the shard's
@@ -110,7 +110,7 @@ struct ShardMode
 {
     bool active = false;
     ShardSpec shard;
-    ShardLayout layout = ShardLayout::Contiguous;
+    ShardLayout layout = ShardLayout::Strided;
     std::string dir = "bench-shards";
     bool resume = false;
     std::string benchName = "bench";

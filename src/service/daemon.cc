@@ -1084,10 +1084,11 @@ Daemon::runJobInRunner(const Job &job, int status_write_fd)
     // under SBN_TRACE_DIR wins (all shards in one place).
     armSweepTracing(opt, dir);
 
-    // Always resume: a first launch on an empty directory is a
-    // no-op, and a relaunch (crash retry or daemon recovery) keeps
-    // every record the previous fleet flushed - that reuse is what
-    // makes recovered output byte-identical.
+    // Always resume: a first launch on an empty directory finds no
+    // record file, so each worker appends to a new one (no rewrite,
+    // no fsync), and a relaunch (crash retry or daemon recovery)
+    // keeps every record the previous fleet flushed - that reuse is
+    // what makes recovered output byte-identical.
     const SupervisedSweepOutcome outcome =
         runSupervisedSweep(opt, shards, dir, /*resume=*/true);
 

@@ -114,7 +114,7 @@ sweepFlagHelp()
         {"growth", "adaptive: round growth factor"},
         {"cap", "adaptive: replication cap"},
         {"threads", "worker threads (0 = all hardware threads)"},
-        {"layout", "shard layout: contiguous or strided"},
+        {"layout", "shard layout: strided (default) or contiguous"},
         {"spawn", "run N supervised local shard workers, then merge"},
         {"retries", "spawn: respawns allowed per shard (default 2)"},
         {"hang-timeout", "spawn: seconds without record progress "
@@ -213,7 +213,7 @@ parseSweepRunOptions(const CommandLine &cli)
             opt.threads = ThreadPool::hardwareThreads();
     }
     opt.layout =
-        parseShardLayout(cli.getString("layout", "contiguous"));
+        parseShardLayout(cli.getString("layout", "strided"));
 
     const std::int64_t retries = cli.getInt("retries", 2);
     if (retries < 0)
@@ -514,8 +514,7 @@ runSupervisedSweep(const SweepRunOptions &opt, std::size_t shard_count,
         const TraceContext ctx = currentTraceContext();
         const std::uint64_t startUs = traceNowMicros();
         outcome.merged =
-            collectRecordFiles(outcome.report.recordFiles, check,
-                               /*tolerate_partial_tail=*/true);
+            orderRecordFiles(outcome.report.recordFiles, check);
         traceEmitSpan(
             ctx, "merge", "collect shard records", ctx.spanId,
             startUs, traceNowMicros(),

@@ -45,7 +45,7 @@ struct SweepRunOptions
     PrecisionTarget target;
     RoundSchedule schedule;
     unsigned threads = 0; //!< 0 = defaultExecThreads()
-    ShardLayout layout = ShardLayout::Contiguous;
+    ShardLayout layout = ShardLayout::Strided;
 
     // Supervision policy (--spawn fleets).
     unsigned retries = 2;         //!< respawns allowed per shard
@@ -171,9 +171,10 @@ struct SupervisedSweepOutcome
 {
     SupervisorReport report;
     MergeCheck check;
-    /** Tolerant-tail collection of every record the fleet wrote, in
-     *  flat order. Empty when the run was interrupted by a signal
-     *  (an interrupted fleet's output is not a result). */
+    /** Every record the fleet wrote, in flat order, merged from the
+     *  supervisor's terminal read (report.recordFiles, torn tails
+     *  dropped). Empty when the run was interrupted by a signal (an
+     *  interrupted fleet's output is not a result). */
     PartialMerge merged;
 };
 

@@ -39,8 +39,9 @@
  *   fail_write_at=N            the N-th record append (1-based)
  *                              reports a simulated write error
  *                              through the normal fatal path.
- *   abort_in_merge             abort() at the start of
- *                              mergeRecordFiles().
+ *   abort_in_merge             abort() at the start of every
+ *                              merge (collectRecordFiles(),
+ *                              orderRecordFiles()).
  *
  * Service-level faults (the sbn_sweepd job plane, docs/service.md):
  *

@@ -1,7 +1,5 @@
 #include "shard/merge.hh"
 
-#include <memory>
-
 #include "core/fingerprint.hh"
 #include "shard/fault.hh"
 #include "telemetry/telemetry.hh"
@@ -66,23 +64,34 @@ shardFilePaths(const std::string &dir, std::size_t shard_count)
     return paths;
 }
 
+std::vector<RecordFile>
+readRecordFiles(const std::vector<std::string> &paths,
+                bool tolerate_partial_tail)
+{
+    std::vector<RecordFile> files;
+    files.reserve(paths.size());
+    for (const std::string &path : paths)
+        files.push_back({path, readRecordFile(path, tolerate_partial_tail)});
+    return files;
+}
+
+namespace {
+
+/** orderRecordFiles() without the merge timer, so collectRecordFiles()
+ *  times its read and its ordering as one merge. */
 PartialMerge
-collectRecordFiles(const std::vector<std::string> &paths,
-                   const MergeCheck &check, bool tolerate_partial_tail)
+orderRecords(const std::vector<RecordFile> &files, const MergeCheck &check)
 {
     sbn_assert(check.expectedRunFp.empty() ||
                    check.expectedRunFp.size() == check.gridSize,
                "merge check fingerprint list does not match the grid");
-    faultMaybeAbortInMerge();
 
-    TelemetryTimerScope timer(TelemetryTimer::ShardMerge);
     std::uint64_t merged = 0;
     std::uint64_t deduped = 0;
-    std::vector<std::unique_ptr<PointRecord>> slots(check.gridSize);
-    for (const std::string &path : paths) {
-        const std::vector<PointRecord> records =
-            readRecordFile(path, tolerate_partial_tail);
-        for (const PointRecord &record : records) {
+    std::vector<const PointRecord *> slots(check.gridSize, nullptr);
+    for (const RecordFile &file : files) {
+        const std::string &path = file.path;
+        for (const PointRecord &record : file.records) {
             if (record.flatIndex >= check.gridSize)
                 sbn_fatal("merge: record in '", path,
                           "' addresses flat index ", record.flatIndex,
@@ -100,7 +109,7 @@ collectRecordFiles(const std::vector<std::string> &paths,
                         check.expectedRunFp[record.flatIndex]),
                     " - it belongs to a different grid, seed, or "
                     "precision setup");
-            auto &slot = slots[record.flatIndex];
+            const PointRecord *&slot = slots[record.flatIndex];
             if (slot) {
                 if (!slot->bitIdentical(record))
                     sbn_fatal(
@@ -113,7 +122,7 @@ collectRecordFiles(const std::vector<std::string> &paths,
                 ++deduped;
                 continue; // benign recomputation, keep the first copy
             }
-            slot = std::make_unique<PointRecord>(record);
+            slot = &record;
             ++merged;
         }
     }
@@ -121,7 +130,7 @@ collectRecordFiles(const std::vector<std::string> &paths,
     telemetryAdd(TelemetryCounter::ShardRecordsDeduped, deduped);
 
     PartialMerge result;
-    result.records.reserve(slots.size());
+    result.records.reserve(merged);
     for (std::size_t i = 0; i < slots.size(); ++i) {
         if (slots[i])
             result.records.push_back(*slots[i]);
@@ -129,6 +138,27 @@ collectRecordFiles(const std::vector<std::string> &paths,
             result.missing.push_back(i);
     }
     return result;
+}
+
+} // namespace
+
+PartialMerge
+orderRecordFiles(const std::vector<RecordFile> &files,
+                 const MergeCheck &check)
+{
+    faultMaybeAbortInMerge();
+    TelemetryTimerScope timer(TelemetryTimer::ShardMerge);
+    return orderRecords(files, check);
+}
+
+PartialMerge
+collectRecordFiles(const std::vector<std::string> &paths,
+                   const MergeCheck &check, bool tolerate_partial_tail)
+{
+    faultMaybeAbortInMerge();
+    TelemetryTimerScope timer(TelemetryTimer::ShardMerge);
+    return orderRecords(readRecordFiles(paths, tolerate_partial_tail),
+                        check);
 }
 
 std::string

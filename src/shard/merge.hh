@@ -44,7 +44,7 @@ struct MergeCheck
      * each hole (dir + ShardPlan::owner), not just the index.
      */
     std::size_t shardCount = 0;
-    ShardLayout layout = ShardLayout::Contiguous;
+    ShardLayout layout = ShardLayout::Strided;
     std::string dir;
 };
 
@@ -79,15 +79,38 @@ struct PartialMerge
     bool complete() const { return missing.empty(); }
 };
 
+/** One record file as read: its path and its records, file order. */
+struct RecordFile
+{
+    std::string path;
+    std::vector<PointRecord> records;
+};
+
 /**
- * Read, validate and order the records of @p paths under @p check,
- * tolerating missing points (reported in the result, not fatal).
- * Everything else - foreign fingerprints, conflicting duplicates,
- * out-of-grid indices - is still fatal with the offending file
- * named. With @p tolerate_partial_tail, a torn final line per file
- * (the kill artifact) is dropped instead of fatal, which is what the
- * supervisor's degraded merge needs after a worker ran out of
- * retries mid-append.
+ * Read every file of @p paths, in order, with readRecordFile()'s
+ * rules: fatal naming the file on a malformed line, except that with
+ * @p tolerate_partial_tail a torn final line per file (the kill
+ * artifact) is dropped.
+ */
+std::vector<RecordFile>
+readRecordFiles(const std::vector<std::string> &paths,
+                bool tolerate_partial_tail);
+
+/**
+ * Validate and order records already read, tolerating missing points
+ * (reported in the result, not fatal). Everything else - foreign
+ * fingerprints, conflicting duplicates, out-of-grid indices - is
+ * fatal with the offending file named. The supervised fleet merges
+ * this way from the record files its terminal check already read
+ * (SupervisorReport::recordFiles).
+ */
+PartialMerge orderRecordFiles(const std::vector<RecordFile> &files,
+                              const MergeCheck &check);
+
+/**
+ * readRecordFiles() then orderRecordFiles(): read, validate and
+ * order the records of @p paths under @p check, tolerating missing
+ * points.
  */
 PartialMerge
 collectRecordFiles(const std::vector<std::string> &paths,

@@ -10,12 +10,24 @@
  * all shards is exactly [0, gridSize) with no overlap.
  *
  * Two layouts are offered:
+ *  - Strided (the default of every front end: sbn_sweep, sbn_sweepd
+ *    job specs, the bench binaries' --shard-layout): shard i gets
+ *    indices i, i+N, i+2N, ... Point cost grows along the grid
+ *    order (n, the outermost axis, and p dominate it), so a stride
+ *    gives every shard a sample of the whole range and a fleet's
+ *    slowest worker finishes close to the mean. Aliasing: shard i
+ *    sees only the innermost-axis positions congruent to i modulo
+ *    gcd(N, L), L that axis's length - one value when L divides N
+ *    (4 shards over --buffered=0,1: shards 0 and 2 run unbuffered
+ *    points only), a fixed 1/N of the axis when N divides L.
  *  - Contiguous: balanced consecutive ranges (shard i of N gets
  *    ~gridSize/N adjacent indices; the first gridSize%N shards get
- *    one extra). Best when neighboring grid points cost similar time.
- *  - Strided: shard i gets indices i, i+N, i+2N, ... Best when cost
- *    varies systematically along the grid (e.g. the p axis), since
- *    every shard samples the whole range.
+ *    one extra). On the paper's grids the last shard holds the
+ *    largest n and is the slowest.
+ *
+ * The layout is part of a shard file's identity: a resume under the
+ * other layout drops the records its shard no longer owns (with a
+ * warning) and recomputes them; merged bytes are the same either way.
  *
  * Per-point seed derivation lives in the point configs themselves
  * (each materialized point carries its own config.seed), so a shard
@@ -71,7 +83,7 @@ class ShardPlan
   public:
     /** @param shard_count number of shards (>= 1). */
     ShardPlan(std::size_t grid_size, std::size_t shard_count,
-              ShardLayout layout = ShardLayout::Contiguous);
+              ShardLayout layout);
 
     std::size_t gridSize() const { return gridSize_; }
     std::size_t shardCount() const { return shardCount_; }

@@ -1,5 +1,7 @@
 #include "shard/runner.hh"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <fstream>
 #include <map>
@@ -24,6 +26,14 @@ checkIndices(const std::vector<std::size_t> &indices,
         sbn_assert(k == 0 || indices[k - 1] < indices[k],
                    "record step indices must be strictly increasing");
     }
+}
+
+/** True when @p path exists and is not empty. */
+bool
+fileHasBytes(const std::string &path)
+{
+    struct stat info;
+    return ::stat(path.c_str(), &info) == 0 && info.st_size > 0;
 }
 
 /** The shared runner a step with @p threads workers uses. Resolved
@@ -180,6 +190,13 @@ runOwnedShard(const std::vector<std::uint64_t> &expected_run_fp,
         }
     }
     stats.skipped = kept.size();
+
+    // Nothing kept and no bytes on disk (a fresh launch, or a resume
+    // with nothing to resume): the absent or empty file already is the
+    // canonical state, and appending to it needs no rewrite and no
+    // fsync.
+    if (kept.empty() && !fileHasBytes(out_path))
+        file_is_kept_canonical = true;
 
     // Make the file state "kept records, canonical order": in place
     // when it already is, else via an atomic temp+rename replacement

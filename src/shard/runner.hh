@@ -22,12 +22,14 @@
  * Records from a different grid, seed or precision setup never match
  * and are discarded with a warning, so a stale file cannot poison a
  * resumed run. A clean file (exactly the kept records, canonical
- * order - the common case) is appended to in place; when cleanup is
- * needed (dropped records, a truncated tail, or out-of-order resume
- * interleaving) the file is replaced via an atomic temp+rename
- * rewrite, so the durability bound above survives crashes at any
- * point and a finished resumed shard file is byte-identical to an
- * uninterrupted run's.
+ * order - the common case) is appended to in place, and so is an
+ * absent or empty file when nothing is kept, resume or not; when
+ * cleanup is needed (dropped records, a truncated tail, out-of-order
+ * resume interleaving, or a fresh run over a file with bytes) the
+ * file is replaced via an atomic temp+rename rewrite, so the
+ * durability bound above survives crashes at any point and a
+ * finished resumed shard file is byte-identical to an uninterrupted
+ * run's.
  *
  * Determinism: every point is an independent seeded computation - an
  * adaptive point's seeds and round schedule depend only on its own

@@ -92,6 +92,17 @@ class SignalGuard
     struct sigaction previousTerm_;
 };
 
+/** Ascending indices of the points @p satisfied leaves unset. */
+std::vector<std::size_t>
+unsatisfied(const std::vector<bool> &satisfied)
+{
+    std::vector<std::size_t> missing;
+    for (std::size_t i = 0; i < satisfied.size(); ++i)
+        if (!satisfied[i])
+            missing.push_back(i);
+    return missing;
+}
+
 } // namespace
 
 double
@@ -415,36 +426,30 @@ ShardSupervisor::launchDueRespawns()
     }
 }
 
-std::vector<std::string>
-ShardSupervisor::existingRecordFiles() const
+std::vector<RecordFile>
+ShardSupervisor::readExistingRecordFiles() const
 {
-    std::vector<std::string> files;
-    for (const Task &task : shardTasks_)
-        if (fileExists(task.work.outPath))
-            files.push_back(task.work.outPath);
-    for (const Task &task : stealTasks_)
-        if (fileExists(task.work.outPath))
-            files.push_back(task.work.outPath);
-    return files;
+    std::vector<std::string> paths;
+    for (const std::vector<Task> *tasks : {&shardTasks_, &stealTasks_})
+        for (const Task &task : *tasks)
+            if (fileExists(task.work.outPath))
+                paths.push_back(task.work.outPath);
+    return readRecordFiles(paths, /*tolerate_partial_tail=*/true);
 }
 
 std::vector<bool>
-ShardSupervisor::satisfiedPoints() const
+ShardSupervisor::satisfiedPoints(const std::vector<RecordFile> &files) const
 {
     // A point is satisfied when any record file holds a record whose
     // run fingerprint matches what the sweep expects there - the
     // exact criterion resume and merge use, so the supervisor never
     // declares done what the merge would reject.
     std::vector<bool> satisfied(config_.expectedRunFp.size(), false);
-    for (const std::string &path : existingRecordFiles()) {
-        for (const PointRecord &record :
-             readRecordFile(path, /*tolerate_partial_tail=*/true)) {
+    for (const RecordFile &file : files)
+        for (const PointRecord &record : file.records)
             if (record.flatIndex < satisfied.size() &&
-                record.runFp ==
-                    config_.expectedRunFp[record.flatIndex])
+                record.runFp == config_.expectedRunFp[record.flatIndex])
                 satisfied[record.flatIndex] = true;
-        }
-    }
     return satisfied;
 }
 
@@ -489,7 +494,8 @@ ShardSupervisor::maybeSteal()
         std::none_of(shardTasks_.begin(), shardTasks_.end(), exhausted))
         return;
 
-    const std::vector<bool> satisfied = satisfiedPoints();
+    const std::vector<bool> satisfied =
+        satisfiedPoints(readExistingRecordFiles());
     std::set<std::size_t> claimed;
     for (const Task &task : stealTasks_)
         if (task.state == ShardState::Running)
@@ -606,6 +612,15 @@ ShardSupervisor::run()
         runStartUs_ = traceNowMicros();
     }
 
+    // The fleet's output, read once after its last worker exited:
+    // the terminal check, the accounting below and the caller's merge
+    // all use this one read.
+    std::vector<RecordFile> files;
+    std::vector<std::size_t> missing;
+    const auto readOutput = [&] {
+        files = readExistingRecordFiles();
+        missing = unsatisfied(satisfiedPoints(files));
+    };
     for (;;) {
         if (g_supervisorSignal != 0) {
             const int sig = static_cast<int>(g_supervisorSignal);
@@ -614,6 +629,7 @@ ShardSupervisor::run()
                      " live worker(s) before exiting");
             killAndReapAllWorkers();
             report_.interruptSignal = sig;
+            readOutput();
             break;
         }
 
@@ -626,11 +642,7 @@ ShardSupervisor::run()
             maybeSteal();
 
         if (allShardsTerminal() && runningCount() == 0) {
-            const std::vector<bool> satisfied = satisfiedPoints();
-            std::vector<std::size_t> missing;
-            for (std::size_t i = 0; i < satisfied.size(); ++i)
-                if (!satisfied[i])
-                    missing.push_back(i);
+            readOutput();
             if (missing.empty())
                 break;
             // Last-chance stealing: every shard is terminal, so any
@@ -655,13 +667,9 @@ ShardSupervisor::run()
     wake_ = nullptr;
 
     // Terminal accounting.
-    const std::vector<bool> satisfied = satisfiedPoints();
-    report_.missingPoints.clear();
-    for (std::size_t i = 0; i < satisfied.size(); ++i)
-        if (!satisfied[i])
-            report_.missingPoints.push_back(i);
+    report_.missingPoints = std::move(missing);
     report_.complete = report_.missingPoints.empty();
-    report_.recordFiles = existingRecordFiles();
+    report_.recordFiles = std::move(files);
     report_.shards.clear();
     for (const Task &task : shardTasks_) {
         ShardOutcome outcome;
@@ -681,7 +689,7 @@ ShardSupervisor::run()
              {"steal_launches",
               std::to_string(report_.stealLaunches)},
              {"complete", report_.complete ? "1" : "0"}});
-    return report_;
+    return std::move(report_);
 }
 
 std::string

@@ -109,7 +109,7 @@ struct SupervisorConfig
 {
     std::size_t shardCount = 1;
     std::string dir; //!< shard-file directory (canonical + steal files)
-    ShardLayout layout = ShardLayout::Contiguous;
+    ShardLayout layout = ShardLayout::Strided;
 
     /**
      * Per-point expected run fingerprints (index = flat grid index).
@@ -200,9 +200,13 @@ struct SupervisorReport
     int interruptSignal = 0;
     std::vector<ShardOutcome> shards;
     std::vector<std::size_t> missingPoints; //!< ascending flat indices
-    /** Record files that exist: canonical shard files + steal files,
-     *  in merge order. */
-    std::vector<std::string> recordFiles;
+    /**
+     * Record files that exist - canonical shard files + steal files,
+     * in merge order - with the records the terminal check read from
+     * them (torn tails dropped) after the last worker exited. The
+     * fleet's one read of its output: merge with orderRecordFiles().
+     */
+    std::vector<RecordFile> recordFiles;
     std::size_t respawns = 0;      //!< failure-triggered relaunches
     std::size_t stealLaunches = 0; //!< steal workers forked
     std::size_t stolenPoints = 0;  //!< points claimed across steals
@@ -245,8 +249,9 @@ class ShardSupervisor
     void handleFailure(Task &task, int status, bool hung);
     void closeAttemptSpan(Task &task, const char *outcome, int status,
                           bool hung);
-    std::vector<bool> satisfiedPoints() const;
-    std::vector<std::string> existingRecordFiles() const;
+    std::vector<RecordFile> readExistingRecordFiles() const;
+    std::vector<bool>
+    satisfiedPoints(const std::vector<RecordFile> &files) const;
     std::size_t runningCount() const;
     bool allShardsTerminal() const;
 

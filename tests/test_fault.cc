@@ -186,8 +186,8 @@ runPlainShard(const std::vector<SystemConfig> &points,
 std::string
 mergedBytes(const SupervisorReport &report, const MergeCheck &check)
 {
-    const PartialMerge merged = collectRecordFiles(
-        report.recordFiles, check, /*tolerate_partial_tail=*/true);
+    const PartialMerge merged =
+        orderRecordFiles(report.recordFiles, check);
     std::ostringstream os;
     writeRecords(os, merged.records);
     return os.str();
@@ -579,6 +579,67 @@ TEST(Supervisor, HealthyUnevenFleetLaunchesNoSteals)
     EXPECT_EQ(mergedBytes(report, check), serialBytes(points));
 }
 
+TEST(Supervisor, WorkerThatExitsCleanWithoutAPointIsCaught)
+{
+    // Shard 1 of 4 owns contiguous indices {2, 3}; its worker writes
+    // index 2 only and still exits 0. Every shard ends Done, so only
+    // the terminal completeness check can see the hole. With stealing
+    // on, the last-chance steal computes index 3 and the merge equals
+    // the serial bytes; with stealing off, the run ends partial with
+    // exactly {3} missing.
+    const std::vector<SystemConfig> points = testSpec().materialize();
+    constexpr std::size_t kSkipped = 3;
+    for (const bool steal : {true, false}) {
+        const std::string dir =
+            tempDir(steal ? "lied_steal" : "lied_nosteal");
+        MergeCheck check = sweepMergeCheck(points);
+        check.shardCount = 4;
+        check.layout = ShardLayout::Contiguous;
+        check.dir = dir;
+
+        const RecordStep step = plainRecordStep(points, runPointSample, 1);
+        const RecordStep lying =
+            [&](const std::vector<std::size_t> &indices,
+                const RecordSink &sink) {
+                std::vector<std::size_t> kept;
+                for (std::size_t index : indices)
+                    if (index != kSkipped)
+                        kept.push_back(index);
+                step(kept, sink);
+            };
+        const WorkerBody honest = stepBody(check, step);
+        const WorkerBody liar = stepBody(check, lying);
+        const WorkerBody body = [&](const WorkerTask &task) {
+            (!task.steal && task.shard.index == 1 ? liar : honest)(task);
+        };
+        SupervisorConfig config = testConfig(dir, check, 4);
+        config.workStealing = steal;
+        ShardSupervisor supervisor(config, body);
+        const SupervisorReport report = supervisor.run();
+
+        for (const ShardOutcome &outcome : report.shards) {
+            EXPECT_EQ(outcome.state, ShardState::Done);
+            EXPECT_EQ(outcome.launches, 1u);
+        }
+        EXPECT_EQ(report.respawns, 0u);
+        if (steal) {
+            ASSERT_TRUE(report.complete);
+            EXPECT_EQ(report.stealLaunches, 1u);
+            EXPECT_EQ(report.stolenPoints, 1u);
+            EXPECT_EQ(mergedBytes(report, check), serialBytes(points));
+        } else {
+            EXPECT_FALSE(report.complete);
+            EXPECT_EQ(report.stealLaunches, 0u);
+            EXPECT_EQ(report.missingPoints,
+                      (std::vector<std::size_t>{kSkipped}));
+            const PartialMerge merged =
+                orderRecordFiles(report.recordFiles, check);
+            EXPECT_EQ(merged.records.size(), points.size() - 1);
+            EXPECT_EQ(merged.missing, report.missingPoints);
+        }
+    }
+}
+
 TEST(Supervisor, ExhaustionDegradesToPartialResultAndManifest)
 {
     const std::vector<SystemConfig> points = testSpec().materialize();
@@ -605,8 +666,8 @@ TEST(Supervisor, ExhaustionDegradesToPartialResultAndManifest)
     // missing - and everything else merged fine.
     ASSERT_EQ(report.missingPoints,
               (std::vector<std::size_t>{3}));
-    const PartialMerge merged = collectRecordFiles(
-        report.recordFiles, check, /*tolerate_partial_tail=*/true);
+    const PartialMerge merged =
+        orderRecordFiles(report.recordFiles, check);
     EXPECT_EQ(merged.records.size(), points.size() - 1);
     EXPECT_EQ(merged.missing, report.missingPoints);
 

@@ -345,7 +345,7 @@ TEST(SpecParse, ParsesAFullSpecIncludingSpawn)
 {
     const SweepRunOptions opt = parseSweepSpecString(
         "--n=8 --m=16 --p=0.2,0.6 --spawn=2 --retries=1 "
-        "--hang-timeout=3 --layout=strided");
+        "--hang-timeout=3 --layout=contiguous");
     EXPECT_EQ(opt.spec.processors, std::vector<int>{8});
     EXPECT_EQ(opt.spec.modules, std::vector<int>{16});
     EXPECT_EQ(opt.spec.requestProbabilities,
@@ -353,7 +353,18 @@ TEST(SpecParse, ParsesAFullSpecIncludingSpawn)
     EXPECT_EQ(opt.spawnShards, 2u);
     EXPECT_EQ(opt.retries, 1u);
     EXPECT_DOUBLE_EQ(opt.hangTimeout, 3.0);
-    EXPECT_EQ(opt.layout, ShardLayout::Strided);
+    EXPECT_EQ(opt.layout, ShardLayout::Contiguous);
+}
+
+TEST(SpecParse, LayoutDefaultsToStrided)
+{
+    // Strided shards balance a fleet whose point cost grows along the
+    // grid order; a spec (or command line) without --layout gets them.
+    EXPECT_EQ(parseSweepSpecString("--n=8 --m=16 --p=0.5 --spawn=2").layout,
+              ShardLayout::Strided);
+    EXPECT_EQ(parseSweepSpecString("--n=8 --m=16 --p=0.5 --layout=strided")
+                  .layout,
+              ShardLayout::Strided);
 }
 
 TEST(SpecParse, ValidationForksSoBadSpecsCannotKillTheCaller)

@@ -612,6 +612,49 @@ TEST(ShardResume, ReadsATailTornMidFloat)
     std::remove(torn.c_str());
 }
 
+TEST(ShardResume, FreshRunIntoAnEmptyFileAppendsInPlace)
+{
+    // Nothing to keep and no bytes on disk: the worker appends to the
+    // file it finds, so the inode survives (no temp+rename rewrite,
+    // hence no fsync). A file that has bytes is still replaced
+    // atomically by a fresh run. Either way the bytes equal a run
+    // into a path that did not exist.
+    const std::vector<SystemConfig> points = testSpec().materialize();
+    const ShardSpec shard{1, 2};
+    const std::string fresh = tempPath("empty_fresh.jsonl");
+    std::remove(fresh.c_str());
+    plainShard(points, shard, ShardLayout::Strided, fresh);
+    const std::string fresh_bytes = fileBytes(fresh);
+    ASSERT_FALSE(fresh_bytes.empty());
+
+    const auto inode = [](const std::string &path) {
+        struct stat info;
+        EXPECT_EQ(::stat(path.c_str(), &info), 0) << path;
+        return info.st_ino;
+    };
+    const std::string path = tempPath("empty_existing.jsonl");
+    for (const bool resume : {false, true}) {
+        { std::ofstream truncate(path, std::ios::trunc); }
+        const ino_t before = inode(path);
+        const ShardRunStats stats =
+            plainShard(points, shard, ShardLayout::Strided, path, resume);
+        EXPECT_EQ(stats.skipped, 0u);
+        EXPECT_EQ(stats.computed, stats.owned);
+        EXPECT_EQ(inode(path), before)
+            << "resume=" << resume << ": the empty file was rewritten";
+        EXPECT_EQ(fileBytes(path), fresh_bytes) << "resume=" << resume;
+    }
+
+    // A fresh run over a complete file starts it over atomically.
+    const ino_t full = inode(path);
+    plainShard(points, shard, ShardLayout::Strided, path);
+    EXPECT_NE(inode(path), full);
+    EXPECT_EQ(fileBytes(path), fresh_bytes);
+
+    std::remove(fresh.c_str());
+    std::remove(path.c_str());
+}
+
 TEST(ShardResume, RemovesStaleRewriteTemps)
 {
     // A worker killed between writing the rewrite temp and renaming
