@@ -95,6 +95,7 @@ class BusMachine
             procServiceStart_.assign(n, 0);
             latWaitHist_.emplace(makeLatencyHistogram());
             latResidenceHist_.emplace(makeLatencyHistogram());
+            latTickBins_ = &latencyTickBins();
         }
     }
 
@@ -299,9 +300,10 @@ class BusMachine
         const Tick residence = grant_tick + 1 - procIssue_[idx(proc)];
         moments(residence);
         if (latWaitHist_) {
-            latWaitHist_->add(static_cast<double>(
-                procServiceStart_[idx(proc)] - procIssue_[idx(proc)]));
-            latResidenceHist_->add(static_cast<double>(residence));
+            latWaitHist_->addTick(
+                procServiceStart_[idx(proc)] - procIssue_[idx(proc)],
+                *latTickBins_);
+            latResidenceHist_->addTick(residence, *latTickBins_);
         }
     }
 
@@ -491,6 +493,7 @@ class BusMachine
     std::vector<Tick> procServiceStart_;
     std::optional<Histogram> latWaitHist_;
     std::optional<Histogram> latResidenceHist_;
+    const TickBins *latTickBins_ = nullptr; //!< their integer-tick bins
 };
 
 } // namespace sbn

@@ -1,6 +1,7 @@
 #include "core/faststat.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/fingerprint.hh"
 #include "telemetry/telemetry.hh"
@@ -24,8 +25,13 @@ FastStatSystem::FastStatSystem(const SystemConfig &config)
     const auto n = static_cast<std::size_t>(cfg_.numProcessors);
     const auto m = static_cast<std::size_t>(cfg_.numModules);
     procRng_.reserve(n);
-    for (std::size_t p = 0; p < n; ++p)
+    thinkLog1mP_.reserve(n);
+    for (std::size_t p = 0; p < n; ++p) {
         procRng_.emplace_back(key, static_cast<std::uint64_t>(p));
+        const double prob = workload_.thinkProbability(static_cast<int>(p));
+        thinkLog1mP_.push_back(prob > 0.0 && prob < 1.0 ? std::log1p(-prob)
+                                                        : 0.0);
+    }
     arbRng_ = CounterRng(key, static_cast<std::uint64_t>(n));
 
     modState_.assign(m, ModState::Idle);
@@ -73,8 +79,10 @@ FastStatSystem::processorReady(int proc, Tick now)
         // kernel redraws forever, statistically the same silence).
         return;
     }
-    const std::uint64_t k = procRng_[static_cast<std::size_t>(proc)]
-                                .geometric(p);
+    // Geometric think span, with log1p(-p) taken once per processor.
+    const auto i = static_cast<std::size_t>(proc);
+    const std::uint64_t k =
+        p >= 1.0 ? 0 : procRng_[i].geometricWithLog(thinkLog1mP_[i]);
     if (k == 0) {
         issue(proc, now);
         return;

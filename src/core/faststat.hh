@@ -125,6 +125,10 @@ class FastStatSystem
     std::vector<CounterRng> procRng_;
     CounterRng arbRng_;
 
+    /** Per processor: log1p(-p), the geometric draw's denominator
+     *  (0 where p is 0 or 1, which draw no uniform). */
+    std::vector<double> thinkLog1mP_;
+
     // Module state (unbuffered machine + buffered queues). uint32_t
     // flags, as in BusMachine, keep the flattened loop alias-free.
     std::vector<ModState> modState_;

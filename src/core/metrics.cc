@@ -2,6 +2,13 @@
 
 namespace sbn {
 
+const TickBins &
+latencyTickBins()
+{
+    static const TickBins bins(makeLatencyHistogram(), 4096);
+    return bins;
+}
+
 LatencySummary
 summarizeLatency(const Histogram &wait, const Histogram &residence)
 {

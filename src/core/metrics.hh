@@ -30,6 +30,13 @@ makeLatencyHistogram()
 }
 
 /**
+ * Bin lookup of the makeLatencyHistogram() layout for the ticks below
+ * 4096, the latency probe's Histogram::addTick() table. Built on
+ * first use, once per process, and shared by every run after that.
+ */
+const TickBins &latencyTickBins();
+
+/**
  * Quantile summary extracted from a wait/residence histogram pair,
  * as carried in sweep point records. Values are bin upper edges
  * except max, which is the exact largest sample.

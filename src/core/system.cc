@@ -394,7 +394,11 @@ SingleBusSystem::grantResponse(int module)
     });
 }
 
-void
+// Flatten, as FastStat's runLoop: inline the whole per-event chain
+// (dispatchDue -> busCycle -> transferDone -> processorReady ->
+// drawProcessor -> the RNG draws, BusMachine and the Welford update)
+// into the driver loop, so an event makes no call.
+__attribute__((flatten)) void
 SingleBusSystem::runCycleSkip()
 {
     // Seed: every processor draws at tick 0, in index order.

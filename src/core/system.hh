@@ -38,6 +38,12 @@
  * tick-buckets drained by the driver loop, so a think redraw costs
  * one Bernoulli and O(1) bucket work.
  *
+ * The driver loop (runCycleSkip) is flattened, as FastStat's is: the
+ * whole per-event chain, BusMachine, the inline RNG draws
+ * (util/random.hh) and the Welford update included, compiles into
+ * that one function, so an event makes no call. docs/performance.md
+ * "Kernel hot path" records its size.
+ *
  * The bookkeeping this kernel shares with FastStat lives once, in
  * core/bus_machine.hh: outstanding requests, the arbitration
  * candidate bit-sets (maintained incrementally at the state

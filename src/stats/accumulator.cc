@@ -17,17 +17,6 @@ Accumulator::reset()
     max_ = -std::numeric_limits<double>::infinity();
 }
 
-void
-Accumulator::add(double sample)
-{
-    ++count_;
-    const double delta = sample - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (sample - mean_);
-    min_ = std::min(min_, sample);
-    max_ = std::max(max_, sample);
-}
-
 Accumulator
 Accumulator::fromMoments(std::uint64_t count, double mean, double m2,
                          double min, double max)

@@ -6,6 +6,7 @@
 #ifndef SBN_STATS_ACCUMULATOR_HH
 #define SBN_STATS_ACCUMULATOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -24,8 +25,21 @@ class Accumulator
     /** Forget all samples. */
     void reset();
 
-    /** Add one sample. */
-    void add(double sample);
+    /**
+     * Add one sample. Inline, so a kernel's flattened driver loop
+     * makes no call per completion; the golden meanWait bits depend
+     * on these operations in this order.
+     */
+    void
+    add(double sample)
+    {
+        ++count_;
+        const double delta = sample - mean_;
+        mean_ += delta / static_cast<double>(count_);
+        m2_ += delta * (sample - mean_);
+        min_ = std::min(min_, sample);
+        max_ = std::max(max_, sample);
+    }
 
     /** Merge another accumulator (parallel Welford combine). */
     void merge(const Accumulator &other);

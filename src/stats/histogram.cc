@@ -35,29 +35,40 @@ Histogram::logScale(double lo, double hi, std::size_t bins)
     return Histogram(HistogramScale::Log, lo, hi, bins);
 }
 
-void
-Histogram::add(double sample)
+std::uint32_t
+Histogram::slotOf(double sample) const
 {
-    ++count_;
-    sum_ += sample;
-    if (count_ == 1 || sample > maxSample_)
-        maxSample_ = sample;
-    if (sample < lo_) {
-        ++underflow_;
-    } else if (sample >= hi_) {
-        ++overflow_;
-    } else if (scale_ == HistogramScale::Log) {
+    if (sample < lo_)
+        return kUnderflowSlot;
+    if (sample >= hi_)
+        return kOverflowSlot;
+    std::size_t idx;
+    if (scale_ == HistogramScale::Log) {
         // Rounding in log() can push a sample fractionally across a
         // bin edge but never outside [0, bins): clamp both ends.
         const double t = (std::log(sample) - logLo_) / logStep_;
-        auto idx = static_cast<std::size_t>(std::max(t, 0.0));
-        idx = std::min(idx, bins_.size() - 1);
-        ++bins_[idx];
+        idx = static_cast<std::size_t>(std::max(t, 0.0));
     } else {
-        auto idx = static_cast<std::size_t>((sample - lo_) / width_);
-        idx = std::min(idx, bins_.size() - 1);
-        ++bins_[idx];
+        idx = static_cast<std::size_t>((sample - lo_) / width_);
     }
+    return static_cast<std::uint32_t>(std::min(idx, bins_.size() - 1));
+}
+
+void
+Histogram::add(double sample)
+{
+    noteSample(sample);
+    place(slotOf(sample));
+}
+
+TickBins::TickBins(const Histogram &layout, std::size_t size)
+    : slot_(size), layout_(layout)
+{
+    sbn_assert(layout.bins_.size() < Histogram::kOverflowSlot,
+               "too many bins for a tick table");
+    layout_.reset();
+    for (std::size_t tick = 0; tick < size; ++tick)
+        slot_[tick] = layout.slotOf(static_cast<double>(tick));
 }
 
 double

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "util/logging.hh"
+
 namespace sbn {
 
 /** How a Histogram spaces its bin edges over [lo, hi). */
@@ -18,6 +20,8 @@ enum class HistogramScale
     Linear, //!< uniform bin width (hi - lo) / bins
     Log,    //!< geometric bins: edge i = lo * (hi/lo)^(i/bins)
 };
+
+class TickBins;
 
 /**
  * Histogram over [lo, hi) with uniform or logarithmic bins plus
@@ -51,6 +55,13 @@ class Histogram
     /** Record one sample. */
     void add(double sample);
 
+    /**
+     * Record the integer sample @p tick, exactly as add(tick) would.
+     * @p bins tabulates this histogram's layout; a tick at or past its
+     * end goes through add(). Inline, for the kernels' hot loops.
+     */
+    inline void addTick(std::uint64_t tick, const TickBins &bins);
+
     /** Total samples including under/overflow. */
     std::uint64_t count() const { return count_; }
 
@@ -59,9 +70,6 @@ class Histogram
 
     /** Count in bin i. */
     std::uint64_t binCount(std::size_t i) const { return bins_.at(i); }
-
-    /** Number of bins. */
-    std::size_t numBins() const { return bins_.size(); }
 
     /** Inclusive lower edge of bin i. */
     double binLow(std::size_t i) const;
@@ -115,8 +123,38 @@ class Histogram
     void reset();
 
   private:
+    friend class TickBins;
+
+    /** Slot values for samples outside [lo, hi). */
+    static constexpr std::uint32_t kUnderflowSlot = 0xffffffffu;
+    static constexpr std::uint32_t kOverflowSlot = 0xfffffffeu;
+
     Histogram(HistogramScale scale, double lo, double hi,
               std::size_t bins);
+
+    /** Bin index of @p sample, or an under/overflow slot. */
+    std::uint32_t slotOf(double sample) const;
+
+    /** The count, sum and max updates every sample makes. */
+    void
+    noteSample(double sample)
+    {
+        ++count_;
+        sum_ += sample;
+        if (count_ == 1 || sample > maxSample_)
+            maxSample_ = sample;
+    }
+
+    void
+    place(std::uint32_t slot)
+    {
+        if (slot == kUnderflowSlot)
+            ++underflow_;
+        else if (slot == kOverflowSlot)
+            ++overflow_;
+        else
+            ++bins_[slot];
+    }
 
     HistogramScale scale_;
     double lo_, hi_, width_;
@@ -128,6 +166,42 @@ class Histogram
     double sum_ = 0.0;
     double maxSample_ = 0.0;
 };
+
+/**
+ * The slot of every integer sample in [0, size()) under one histogram
+ * layout: a bin index, or underflow/overflow. Computed once with the
+ * exact expression Histogram::add() uses, so Histogram::addTick()
+ * places small integer samples without a logarithm, and always where
+ * add() would.
+ */
+class TickBins
+{
+  public:
+    /** Tabulate ticks [0, size) for @p layout's scale, range and bins. */
+    TickBins(const Histogram &layout, std::size_t size);
+
+    /** Ticks covered: [0, size()). */
+    std::size_t size() const { return slot_.size(); }
+
+  private:
+    friend class Histogram;
+
+    std::vector<std::uint32_t> slot_;
+    Histogram layout_; //!< empty copy, for the debug-build layout check
+};
+
+inline void
+Histogram::addTick(std::uint64_t tick, const TickBins &bins)
+{
+    sbn_debug_assert(compatibleWith(bins.layout_),
+                     "tick bins of another histogram layout");
+    if (tick >= bins.size()) {
+        add(static_cast<double>(tick));
+        return;
+    }
+    noteSample(static_cast<double>(tick));
+    place(bins.slot_[tick]);
+}
 
 } // namespace sbn
 

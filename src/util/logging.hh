@@ -29,9 +29,13 @@ namespace detail {
 void emitLog(const char *level, const std::string &msg,
              const char *file, int line);
 
-/** Stream-compose a message from a parameter pack. */
+/**
+ * Stream-compose a message from a parameter pack. Cold and never
+ * inlined, so a flattened kernel loop keeps one call per failure
+ * path instead of a copy of the stream code.
+ */
 template <typename... Args>
-std::string
+[[gnu::noinline, gnu::cold]] std::string
 composeMessage(Args &&...args)
 {
     std::ostringstream os;

@@ -7,6 +7,11 @@
  * small, fast, and fully reproducible across platforms, which the test
  * suite relies on (fixed seed => identical simulation trajectories).
  *
+ * The draws the exact kernel makes per event (next, uniformInt,
+ * uniformReal, bernoulli, pickIndex) are defined inline here, so the
+ * kernel's flattened driver loop (core/system.cc) carries no call per
+ * draw; the rarer draws and the seeding stay in random.cc.
+ *
  * CounterRng is the second generator family: a counter-based
  * (Philox-style) stream whose i-th output is a pure function of
  * (key, stream, i). Streams with distinct stream indices are
@@ -18,8 +23,11 @@
 #ifndef SBN_UTIL_RANDOM_HH
 #define SBN_UTIL_RANDOM_HH
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
+
+#include "util/logging.hh"
 
 namespace sbn {
 
@@ -39,7 +47,21 @@ class RandomGenerator
     void seed(std::uint64_t seed);
 
     /** Next raw 64-bit output. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /**
      * Uniform integer in [0, bound).
@@ -49,16 +71,46 @@ class RandomGenerator
      *
      * @pre bound > 0
      */
-    std::uint64_t uniformInt(std::uint64_t bound);
+    std::uint64_t
+    uniformInt(std::uint64_t bound)
+    {
+        sbn_assert(bound > 0, "uniformInt bound must be positive");
+
+        // Lemire's nearly-divisionless method with rejection.
+        std::uint64_t x = next();
+        __uint128_t m = static_cast<__uint128_t>(x) * bound;
+        auto low = static_cast<std::uint64_t>(m);
+        if (low < bound) {
+            const std::uint64_t threshold = -bound % bound;
+            while (low < threshold) {
+                x = next();
+                m = static_cast<__uint128_t>(x) * bound;
+                low = static_cast<std::uint64_t>(m);
+            }
+        }
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. @pre lo <= hi */
     std::int64_t uniformRange(std::int64_t lo, std::int64_t hi);
 
     /** Uniform double in [0, 1) with 53 random bits. */
-    double uniformReal();
+    double
+    uniformReal()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw: true with probability p (clamped to [0,1]). */
-    bool bernoulli(double p);
+    bool
+    bernoulli(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniformReal() < p;
+    }
 
     /** Exponential draw with the given mean. @pre mean > 0 */
     double exponential(double mean);
@@ -73,7 +125,11 @@ class RandomGenerator
      * Pick an index uniformly from [0, size). Convenience alias for
      * uniformInt used by the random-arbitration policies.
      */
-    std::size_t pickIndex(std::size_t size);
+    std::size_t
+    pickIndex(std::size_t size)
+    {
+        return static_cast<std::size_t>(uniformInt(size));
+    }
 
     /** In-place Fisher-Yates shuffle of an index vector. */
     void shuffle(std::vector<std::size_t> &values);
@@ -86,6 +142,12 @@ class RandomGenerator
     std::uint64_t deriveSeed();
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 
@@ -148,24 +210,29 @@ class CounterRng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
-    /** Bernoulli draw: true with probability p (clamped to [0,1]). */
-    bool bernoulli(double p);
-
     /**
      * Geometric draw in O(1): number of failures before the first
      * success of a Bernoulli(p) sequence, via inversion
-     * floor(log(U) / log(1-p)). Returns 0 for p >= 1; results are
+     * floor(log(U) / log(1-p)). The caller passes the denominator
+     * @p log1m_p = std::log1p(-p), so a stream that draws with one p
+     * many times takes that logarithm once (FastStat caches it per
+     * processor, and draws nothing where p is 0 or 1). Results are
      * clamped to 2^62 so downstream tick arithmetic cannot overflow.
-     * Inline so the saturated-regime fast path (p >= 1: no draw at
-     * all) folds into the kernel's per-completion code.
-     * @pre p > 0 when p < 1
+     * @pre 0 < p < 1
      */
     std::uint64_t
-    geometric(double p)
+    geometricWithLog(double log1m_p)
     {
-        if (p >= 1.0)
+        // Inversion: U in (0, 1], k = floor(log U / log(1-p)) failures.
+        // One uniform draw regardless of k - the O(1) contract the
+        // FastStat kernel's think batching is built on.
+        const double u = 1.0 - uniformReal();
+        const double k = std::floor(std::log(u) / log1m_p);
+        if (!(k > 0.0))
             return 0;
-        return geometricSlow(p);
+        if (k >= 0x1.0p62)
+            return 1ull << 62;
+        return static_cast<std::uint64_t>(k);
     }
 
     /** Pick an index uniformly from [0, size). */
@@ -180,9 +247,6 @@ class CounterRng
     std::uint64_t counter() const { return counter_; }
 
   private:
-    /** The p < 1 inversion (one uniform draw). */
-    std::uint64_t geometricSlow(double p);
-
     std::uint64_t key_ = 0;
     std::uint64_t counter_ = 0;
 };

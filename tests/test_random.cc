@@ -203,5 +203,48 @@ TEST(Random, DegenerateBernoulliConsumesNothing)
     EXPECT_EQ(a.next(), b.next());
 }
 
+/**
+ * Geometric inversion with log1p(-p) taken on every draw, the
+ * reference CounterRng::geometricWithLog() must match bit for bit.
+ */
+std::uint64_t
+geometricPerDraw(CounterRng &rng, double p)
+{
+    const double u = 1.0 - rng.uniformReal();
+    const double k = std::floor(std::log(u) / std::log1p(-p));
+    if (!(k > 0.0))
+        return 0;
+    if (k >= 0x1.0p62)
+        return 1ull << 62;
+    return static_cast<std::uint64_t>(k);
+}
+
+TEST(CounterRng, CachedDenominatorGeometricIsBitIdentical)
+{
+    // FastStat takes log1p(-p) once per processor and draws with
+    // geometricWithLog(); every draw must equal the per-draw formula
+    // bit for bit and consume the same counter. 1e-12 draws huge
+    // spans; 1e-19 reaches the 2^62 clamp for most uniforms.
+    std::vector<double> ps = {0.01};
+    for (int k = 1; k <= 19; ++k)
+        ps.push_back(0.05 * k);
+    ps.push_back(1e-12);
+    ps.push_back(1e-19);
+    std::uint64_t clamped = 0;
+    for (std::size_t s = 0; s < ps.size(); ++s) {
+        const double p = ps[s];
+        const double log1m_p = std::log1p(-p);
+        CounterRng direct(0x5eedull, s), cached(0x5eedull, s);
+        for (int i = 0; i < 100000; ++i) {
+            const std::uint64_t k = geometricPerDraw(direct, p);
+            ASSERT_EQ(k, cached.geometricWithLog(log1m_p))
+                << "p=" << p << " counter " << i;
+            clamped += k == (1ull << 62);
+        }
+        EXPECT_EQ(direct.counter(), cached.counter());
+    }
+    EXPECT_GT(clamped, 0u);
+}
+
 } // namespace
 } // namespace sbn

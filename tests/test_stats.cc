@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "core/metrics.hh"
 #include "estimate_util.hh"
 #include "stats/accumulator.hh"
 #include "stats/histogram.hh"
@@ -286,6 +288,55 @@ TEST(Histogram, FlatJsonIsInsertionOrderInvariant)
               "\"lo\":0,\"hi\":4,\"bins\":4,\"count\":3,"
               "\"underflow\":0,\"overflow\":0,\"sum\":5.5999999999999996,"
               "\"counts\":\"0:1 2:2\"}");
+}
+
+TEST(Histogram, LatencyTickTableMatchesLogFormula)
+{
+    // The latency probe bins integer ticks through latencyTickBins().
+    // Each tick it covers must land in the bin of the log formula
+    // add() evaluates for makeLatencyHistogram()'s layout.
+    const TickBins &bins = latencyTickBins();
+    ASSERT_EQ(bins.size(), 4096u);
+    const double logStep = (std::log(1048576.0) - std::log(1.0)) / 120.0;
+    for (std::uint64_t t = 1; t < bins.size(); ++t) {
+        Histogram h = makeLatencyHistogram();
+        h.addTick(t, bins);
+        const double x =
+            (std::log(static_cast<double>(t)) - std::log(1.0)) / logStep;
+        const std::size_t bin = std::min<std::size_t>(
+            static_cast<std::size_t>(std::max(x, 0.0)), 119);
+        ASSERT_EQ(h.binCount(bin), 1u) << "tick " << t;
+        ASSERT_EQ(h.count(), 1u);
+        ASSERT_EQ(h.maxSample(), static_cast<double>(t));
+    }
+}
+
+TEST(Histogram, AddTickEqualsAddEverywhere)
+{
+    // Table ticks, 0 (underflow), the first ticks past the table,
+    // the last in-range tick and 2^20 (overflow): addTick() leaves
+    // the same bins, count, sum, max and under/overflow as add(). A
+    // non-integer sample still goes through add() on both sides.
+    const TickBins &bins = latencyTickBins();
+    Histogram viaAdd = makeLatencyHistogram();
+    Histogram viaTick = makeLatencyHistogram();
+    std::vector<std::uint64_t> ticks;
+    for (std::uint64_t t = 0; t < bins.size() + 8; ++t)
+        ticks.push_back(t);
+    ticks.push_back((1u << 20) - 1);
+    ticks.push_back(1u << 20);
+    ticks.push_back(5u << 20);
+    for (std::uint64_t t : ticks) {
+        viaAdd.add(static_cast<double>(t));
+        viaTick.addTick(t, bins);
+    }
+    viaAdd.add(2.5);
+    viaTick.add(2.5);
+    EXPECT_EQ(viaTick.underflow(), 1u);
+    EXPECT_EQ(viaTick.overflow(), 2u);
+    EXPECT_EQ(viaTick.count(), viaAdd.count());
+    EXPECT_EQ(viaTick.maxSample(), viaAdd.maxSample());
+    EXPECT_EQ(viaTick.renderFlatJson(), viaAdd.renderFlatJson());
 }
 
 TEST(Replication, DeterministicSeedDerivation)
