@@ -108,36 +108,6 @@ Dtmc::stationaryDirect() const
     return pi;
 }
 
-std::vector<double>
-Dtmc::stationaryPower(double tol, std::size_t max_iter) const
-{
-    std::vector<double> pi(n_, 1.0 / static_cast<double>(n_));
-    std::vector<double> next(n_, 0.0);
-
-    for (std::size_t iter = 0; iter < max_iter; ++iter) {
-        std::fill(next.begin(), next.end(), 0.0);
-        for (std::size_t i = 0; i < n_; ++i) {
-            const double w = pi[i];
-            if (w == 0.0)
-                continue;
-            const double *row = &p_[i * n_];
-            for (std::size_t j = 0; j < n_; ++j)
-                next[j] += w * row[j];
-        }
-        // Damping handles periodic chains: pi <- (pi + pi P) / 2.
-        double delta = 0.0;
-        for (std::size_t j = 0; j < n_; ++j) {
-            next[j] = 0.5 * (next[j] + pi[j]);
-            delta += std::abs(next[j] - pi[j]);
-        }
-        pi.swap(next);
-        if (delta < tol)
-            return pi;
-    }
-    sbn_warn("power iteration did not converge to ", tol);
-    return pi;
-}
-
 double
 Dtmc::expectation(const std::vector<double> &pi,
                   const std::vector<double> &reward)

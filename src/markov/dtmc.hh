@@ -4,9 +4,8 @@
  *
  * The chains produced by the bus models are small (tens to a few
  * thousand states), so a dense representation with a direct linear
- * solve is both simplest and fastest. A power-iteration solver is also
- * provided and is used by the test suite to cross-check the direct
- * solver.
+ * solve is both simplest and fastest. The test suite cross-checks it
+ * against power iteration.
  */
 
 #ifndef SBN_MARKOV_DTMC_HH
@@ -52,14 +51,6 @@ class Dtmc
      *      aperiodicity is not required.
      */
     std::vector<double> stationaryDirect() const;
-
-    /**
-     * Stationary distribution via damped power iteration
-     * (pi <- pi (0.5 I + 0.5 P), which converges for periodic chains
-     * too). Iterates until the L1 change is below @p tol.
-     */
-    std::vector<double> stationaryPower(double tol = 1e-13,
-                                        std::size_t max_iter = 200000) const;
 
     /** Expectation of @p reward under distribution @p pi. */
     static double expectation(const std::vector<double> &pi,

@@ -37,12 +37,6 @@ TextTable::addNumericRow(const std::string &label,
     addRow(std::move(row));
 }
 
-void
-TextTable::addSeparator()
-{
-    separators_.push_back(rows_.size());
-}
-
 std::string
 TextTable::formatFixed(double value, int precision)
 {
@@ -84,13 +78,8 @@ TextTable::print(std::ostream &os) const
         emit(header_);
         rule();
     }
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-        if (std::find(separators_.begin(), separators_.end(), i) !=
-            separators_.end()) {
-            rule();
-        }
-        emit(rows_[i]);
-    }
+    for (const auto &row : rows_)
+        emit(row);
     rule();
 }
 

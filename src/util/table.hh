@@ -44,9 +44,6 @@ class TextTable
                        const std::vector<double> &values,
                        int precision = 3);
 
-    /** Insert a horizontal separator line before the next row. */
-    void addSeparator();
-
     /** Render the table to a stream. */
     void print(std::ostream &os) const;
 
@@ -57,7 +54,6 @@ class TextTable
     std::string title_;
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
-    std::vector<std::size_t> separators_;
 };
 
 } // namespace sbn

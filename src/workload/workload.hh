@@ -99,10 +99,6 @@ struct WorkloadConfig
     {
         return pattern == ReferencePattern::Uniform;
     }
-    bool homogeneousThink() const
-    {
-        return think == ThinkModel::Homogeneous;
-    }
 
     /**
      * Whether every processor shares one module-selection

@@ -15,6 +15,36 @@
 namespace sbn {
 namespace {
 
+/**
+ * Stationary distribution by damped power iteration,
+ * pi <- pi (0.5 I + 0.5 P), which converges for periodic chains too:
+ * the reference the direct solver is checked against. Iterates until
+ * the L1 change is below @p tol.
+ */
+std::vector<double>
+stationaryPower(const Dtmc &chain, double tol = 1e-13)
+{
+    const std::size_t n = chain.numStates();
+    std::vector<double> pi(n, 1.0 / static_cast<double>(n));
+    std::vector<double> next(n);
+    for (int iter = 0; iter < 200000; ++iter) {
+        for (std::size_t j = 0; j < n; ++j) {
+            double mass = 0.0;
+            for (std::size_t i = 0; i < n; ++i)
+                mass += pi[i] * chain.probability(i, j);
+            next[j] = 0.5 * (mass + pi[j]);
+        }
+        double delta = 0.0;
+        for (std::size_t j = 0; j < n; ++j)
+            delta += std::abs(next[j] - pi[j]);
+        pi.swap(next);
+        if (delta < tol)
+            return pi;
+    }
+    ADD_FAILURE() << "power iteration did not converge to " << tol;
+    return pi;
+}
+
 TEST(Dtmc, TwoStateClosedForm)
 {
     // P = [[1-a, a], [b, 1-b]] has pi = (b, a)/(a+b).
@@ -41,7 +71,7 @@ TEST(Dtmc, PeriodicChainHandledByBothSolvers)
     chain.validate();
 
     for (const auto &pi :
-         {chain.stationaryDirect(), chain.stationaryPower()}) {
+         {chain.stationaryDirect(), stationaryPower(chain)}) {
         for (double v : pi)
             EXPECT_NEAR(v, 1.0 / 3.0, 1e-9);
     }
@@ -65,7 +95,7 @@ TEST(Dtmc, DirectMatchesPowerOnRandomChain)
     chain.validate();
 
     const auto direct = chain.stationaryDirect();
-    const auto power = chain.stationaryPower(1e-14);
+    const auto power = stationaryPower(chain, 1e-14);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(direct[i], power[i], 1e-8);
 }
