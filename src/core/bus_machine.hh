@@ -5,16 +5,21 @@
  * CycleSkip (core/system.hh) and FastStat (core/faststat.hh) simulate
  * one machine: n processors and m modules on one multiplexed bus.
  * They differ in how processors draw think time, how a bus flight is
- * modelled and what triggers arbitration. Everything else lives here,
- * once:
+ * modelled and how wait moments are summed. Everything else lives
+ * here, once:
  *
  *  - **Outstanding requests and module servers**: each processor's
  *    target and issue tick, each module's served processor and access
  *    start.
+ *  - **Buffered module queues** (config.buffered): each module's input
+ *    and output queues and server flag, with the enqueue, start,
+ *    finish and pop transitions and the acceptance rule.
  *  - **Arbitration eligibility**: candidate bit-sets kept in lockstep
- *    with the state transitions that change them. Each kernel decides
- *    whether a module can accept a request or holds a response, and
- *    feeds the two booleans to refreshModule().
+ *    with the state transitions that change them. An unbuffered
+ *    kernel decides whether a module can accept a request or holds a
+ *    response and feeds the two booleans to refreshModule(); a
+ *    buffered module's flags follow from its queues
+ *    (refreshQueued()).
  *  - **Completion ring**: every access starts at the monotone current
  *    tick and lasts exactly r, so pending completions form a FIFO ring
  *    of m slots (a module runs one access at a time).
@@ -23,9 +28,12 @@
  *  - **Observation**: window counters, per-module busy and queue-depth
  *    integration, the latency histograms and the Metrics assembly.
  *
- * Header-only, so FastStat's flattened driver loop inlines all of it.
- * Nothing here draws random numbers: the kernels' RNG streams, and so
- * every golden pin, are untouched by this bookkeeping.
+ * Both kernels arbitrate once at the end of every event tick, after
+ * that tick's state changes.
+ *
+ * Header-only, so both kernels' flattened driver loops inline all of
+ * it. Nothing here draws random numbers: the kernels' RNG streams,
+ * and so every golden pin, are untouched by this bookkeeping.
  */
 
 #ifndef SBN_CORE_BUS_MACHINE_HH
@@ -33,6 +41,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -62,6 +71,7 @@ class BusMachine
           numProcessors_(cfg.numProcessors),
           numModules_(cfg.numModules),
           inputCapacity_(cfg.inputCapacity),
+          outputCapacity_(cfg.outputCapacity),
           procsFirst_(cfg.policy == ArbitrationPolicy::ProcessorPriority),
           random_(cfg.selection == SelectionRule::Random),
           perModule_(cfg.collectPerModule),
@@ -75,6 +85,11 @@ class BusMachine
         modServing_.assign(m, -1);
         modAccessStart_.assign(m, 0);
         completions_.resize(m);
+        if (cfg.buffered) {
+            modAccessing_.assign(m, 0u);
+            inputQueues_.resize(m);
+            outputQueues_.resize(m);
+        }
 
         candProcs_.resize(n);
         candMods_.resize(m);
@@ -103,10 +118,6 @@ class BusMachine
 
     // --- requests and module servers ----------------------------------
     int serving(int module) const { return modServing_[idx(module)]; }
-    Tick accessStart(int module) const
-    {
-        return modAccessStart_[idx(module)];
-    }
 
     /** proc issues a request to target at now and starts waiting. */
     void
@@ -190,27 +201,78 @@ class BusMachine
         return modServing_[idx(module)];
     }
 
-    // --- arbitration eligibility --------------------------------------
-    bool canAccept(int module) const
+    // --- buffered module queues (config.buffered) ---------------------
+    /** A granted request joins module's input queue. */
+    void
+    enqueueRequest(int module, int proc)
     {
-        return modCanAccept_[idx(module)] != 0;
-    }
-    bool hasCandidates() const
-    {
-        return !candProcs_.empty() || !candMods_.empty();
+        inputQueues_[idx(module)].push_back(proc);
     }
 
     /**
-     * Whether a buffered module with @p occupied input slots taken
-     * accepts one more request. A request heading to an idle, empty
-     * module occupies the server, not a buffer slot.
+     * Start module's next queued request at now, unless its server is
+     * busy, its input queue is empty or a bounded output queue is full
+     * (blocked until a response drains). Returns whether one started.
      */
     bool
-    inputHasRoom(int occupied, bool accessing) const
+    startQueuedAccess(int module, Tick now)
     {
-        if (inputCapacity_ == 0 || (!accessing && occupied == 0))
-            return true;
-        return occupied < inputCapacity_;
+        const auto j = idx(module);
+        std::deque<int> &input = inputQueues_[j];
+        if (modAccessing_[j] || input.empty())
+            return false;
+        if (outputCapacity_ > 0 &&
+            static_cast<int>(outputQueues_[j].size()) >= outputCapacity_)
+            return false;
+        const int proc = input.front();
+        input.pop_front();
+        modAccessing_[j] = 1;
+        noteQueueDepth(module, now, -1);
+        startAccess(module, proc, now);
+        return true;
+    }
+
+    /** module's access ends at now; its response joins the output queue. */
+    void
+    finishQueuedAccess(int module, Tick now)
+    {
+        outputQueues_[idx(module)].push_back(
+            Response{finishAccess(module, now), now});
+        modAccessing_[idx(module)] = 0;
+    }
+
+    /** Dequeue module's oldest response; returns its processor. */
+    int
+    popResponse(int module)
+    {
+        std::deque<Response> &output = outputQueues_[idx(module)];
+        const int proc = output.front().proc;
+        output.pop_front();
+        return proc;
+    }
+
+    /**
+     * Bring a buffered module's flags up to date from its queues.
+     * @p reserved input slots are held by granted requests still on
+     * the bus. A request heading to an idle, empty module occupies the
+     * server, not a buffer slot.
+     */
+    void
+    refreshQueued(int module, int reserved)
+    {
+        const auto j = idx(module);
+        const int occupied =
+            static_cast<int>(inputQueues_[j].size()) + reserved;
+        const bool accept = inputCapacity_ == 0 ||
+                            (!modAccessing_[j] && occupied == 0) ||
+                            occupied < inputCapacity_;
+        refreshModule(module, accept, !outputQueues_[j].empty());
+    }
+
+    // --- arbitration eligibility --------------------------------------
+    bool hasCandidates() const
+    {
+        return !candProcs_.empty() || !candMods_.empty();
     }
 
     /** Bring module's cached flags and the candidate sets up to date. */
@@ -253,12 +315,16 @@ class BusMachine
      * response) and returns true, or returns false when nothing is
      * eligible. Random selection takes index pick(count) of the
      * ascending candidate set; FCFS takes the earliest issue tick, or
-     * the earliest ready(module) tick, lowest index on a tie.
+     * the earliest tick a response became ready, lowest index on a
+     * tie. @p Buffered is config.buffered, fixed at compile time so a
+     * templated driver loop carries only its own response key.
      */
-    template <typename Pick, typename Ready>
+    template <bool Buffered, typename Pick>
     bool
-    select(Pick &&pick, Ready &&ready, int &proc, int &module) const
+    select(Pick &&pick, int &proc, int &module) const
     {
+        sbn_debug_assert(Buffered == !outputQueues_.empty(),
+                         "select's Buffered differs from config.buffered");
         if (!hasCandidates())
             return false;
         const bool grant_proc =
@@ -269,8 +335,14 @@ class BusMachine
             chosen = static_cast<int>(set.nth(pick(set.count())));
         else if (grant_proc)
             chosen = earliest(set, [&](int p) { return procIssue_[idx(p)]; });
+        else if constexpr (Buffered)
+            chosen = earliest(set, [&](int m) {
+                return outputQueues_[idx(m)].front().readyTick;
+            });
         else
-            chosen = earliest(set, ready);
+            chosen = earliest(set, [&](int m) {
+                return modAccessStart_[idx(m)] + memoryRatio_;
+            });
         (grant_proc ? proc : module) = chosen;
         return true;
     }
@@ -393,6 +465,13 @@ class BusMachine
         int module;
     };
 
+    /** A buffered module's finished access awaiting the bus. */
+    struct Response
+    {
+        int proc;
+        Tick readyTick;
+    };
+
     static std::size_t idx(int i) { return static_cast<std::size_t>(i); }
 
     bool inWindow(Tick t) const
@@ -437,13 +516,14 @@ class BusMachine
         out.perModuleQueueDepthMax = perModDepthMax_;
     }
 
-    // Loop-invariant configuration, copied so the flattened FastStat
-    // loop can keep it in registers.
+    // Loop-invariant configuration, copied so the flattened driver
+    // loops can keep it in registers.
     Tick memoryRatio_;
     Tick processorCycle_;
     int numProcessors_;
     int numModules_;
     int inputCapacity_;
+    int outputCapacity_;
     bool procsFirst_;
     bool random_;
     bool perModule_;
@@ -454,6 +534,11 @@ class BusMachine
     std::vector<Tick> procIssue_; //!< issue tick of the outstanding request
     std::vector<int> modServing_;   //!< processor the module serves
     std::vector<Tick> modAccessStart_;
+
+    // Buffered organization only (otherwise empty and untouched).
+    std::vector<std::uint32_t> modAccessing_; //!< server busy
+    std::vector<std::deque<int>> inputQueues_; //!< waiting request procs
+    std::vector<std::deque<Response>> outputQueues_;
 
     std::vector<Completion> completions_;
     std::size_t completionHead_ = 0;

@@ -35,27 +35,9 @@ FastStatSystem::FastStatSystem(const SystemConfig &config)
     arbRng_ = CounterRng(key, static_cast<std::uint64_t>(n));
 
     modState_.assign(m, ModState::Idle);
-    modAccessing_.assign(m, 0u);
-    inputQueues_.resize(m);
-    outputQueues_.resize(m);
 
     arbAt_ = kNever;
     thinkHeap_.reserve(n);
-}
-
-void
-FastStatSystem::refreshModule(int module)
-{
-    // Buffered organization only: the unbuffered transitions know
-    // which flag flips and set it directly. No reservation term:
-    // grants enqueue their request immediately (delivery is fused
-    // into the grant), so the input queue alone is the occupancy.
-    const auto idx = static_cast<std::size_t>(module);
-    bus_.refreshModule(
-        module,
-        bus_.inputHasRoom(static_cast<int>(inputQueues_[idx].size()),
-                          modAccessing_[idx] != 0),
-        !outputQueues_[idx].empty());
 }
 
 void
@@ -118,31 +100,19 @@ FastStatSystem::memoryCompletion(int module, Tick now)
         bus_.setResponse(module, true);
         bus_.finishAccess(module, now);
     } else {
-        outputQueues_[idx].push_back(
-            Response{bus_.finishAccess(module, now), now});
-        modAccessing_[idx] = 0;
-        refreshModule(module);
-        maybeStartBufferedAccess(module, now);
+        bus_.finishQueuedAccess(module, now);
+        startQueuedAccess(module, now);
     }
 }
 
 void
-FastStatSystem::maybeStartBufferedAccess(int module, Tick now)
+FastStatSystem::startQueuedAccess(int module, Tick now)
 {
-    const auto idx = static_cast<std::size_t>(module);
-    if (modAccessing_[idx] || inputQueues_[idx].empty())
-        return;
-    if (cfg_.outputCapacity > 0 &&
-        static_cast<int>(outputQueues_[idx].size()) >=
-            cfg_.outputCapacity)
-        return; // blocked until a response drains
-
-    const int proc = inputQueues_[idx].front();
-    inputQueues_[idx].pop_front();
-    modAccessing_[idx] = 1;
-    bus_.noteQueueDepth(module, now, -1);
-    bus_.startAccess(module, proc, now);
-    refreshModule(module);
+    // No reservation term: grants enqueue their request immediately
+    // (delivery is fused into the grant), so the input queue alone is
+    // the occupancy.
+    bus_.startQueuedAccess(module, now);
+    bus_.refreshQueued(module, 0);
 }
 
 template <bool Buffered>
@@ -155,19 +125,10 @@ FastStatSystem::arbitrate(Tick now)
     // flight lasts exactly one tick and nothing arbitrates mid-air.
     int proc = -1;
     int module = -1;
-    const bool granted = bus_.select(
+    const bool granted = bus_.template select<Buffered>(
         [&](std::size_t count) {
             // A singleton set has nothing to tie-break; skip the draw.
             return count == 1 ? 0 : arbRng_.pickIndex(count);
-        },
-        [&](int m) {
-            if constexpr (Buffered)
-                return outputQueues_[static_cast<std::size_t>(m)]
-                    .front()
-                    .readyTick;
-            else
-                return bus_.accessStart(m) +
-                       static_cast<Tick>(cfg_.memoryRatio);
         },
         proc, module);
     if (!granted) {
@@ -204,9 +165,8 @@ FastStatSystem::grantRequest(int proc, Tick now)
         bus_.setAccept(target, false);
         bus_.startAccess(target, proc, arrive);
     } else {
-        inputQueues_[tgt].push_back(proc);
-        refreshModule(target);
-        maybeStartBufferedAccess(target, arrive);
+        bus_.enqueueRequest(target, proc);
+        startQueuedAccess(target, arrive);
     }
 }
 
@@ -228,13 +188,10 @@ FastStatSystem::grantResponse(int module, Tick now)
         bus_.setResponse(module, false);
         bus_.setAccept(module, true);
     } else {
-        proc = outputQueues_[idx].front().proc;
-        outputQueues_[idx].pop_front();
-        refreshModule(module);
+        proc = bus_.popResponse(module);
         // The output slot freed; a blocked module resumes at the
-        // grant tick itself, matching the exact kernel (which calls
-        // maybeStartBufferedAccess from grantResponse at now).
-        maybeStartBufferedAccess(module, now);
+        // grant tick itself, as in the exact kernel.
+        startQueuedAccess(module, now);
     }
 
     bus_.recordCompletion(proc, now, [&](Tick residence) {

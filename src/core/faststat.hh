@@ -43,7 +43,6 @@
 #define SBN_CORE_FASTSTAT_HH
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
@@ -67,9 +66,6 @@ class FastStatSystem
     /** Run warmup + measurement and return the collected metrics. */
     Metrics run();
 
-    /** The configuration this system was built with. */
-    const SystemConfig &config() const { return cfg_; }
-
     /**
      * Geometric think-interval draws performed. One per processor
      * ready event - O(1) per interval, against CycleSkip's one
@@ -92,12 +88,6 @@ class FastStatSystem
         HoldingResponse,
     };
 
-    struct Response
-    {
-        int proc;
-        Tick readyTick;
-    };
-
     // --- behaviour ---------------------------------------------------
     // The per-event chain is templated on the buffered/unbuffered
     // split: the driver loop instantiates each variant once, so the
@@ -107,12 +97,11 @@ class FastStatSystem
     void processorReady(int proc, Tick now);
     void issue(int proc, Tick now);
     template <bool Buffered> void memoryCompletion(int module, Tick now);
-    void maybeStartBufferedAccess(int module, Tick now);
+    void startQueuedAccess(int module, Tick now);
     template <bool Buffered> void arbitrate(Tick now);
     template <bool Buffered> void grantRequest(int proc, Tick now);
     template <bool Buffered> void grantResponse(int module, Tick now);
 
-    void refreshModule(int module);
     void pushThinkWake(Tick due, int proc);
 
     SystemConfig cfg_;
@@ -129,12 +118,7 @@ class FastStatSystem
      *  (0 where p is 0 or 1, which draw no uniform). */
     std::vector<double> thinkLog1mP_;
 
-    // Module state (unbuffered machine + buffered queues). uint32_t
-    // flags, as in BusMachine, keep the flattened loop alias-free.
-    std::vector<ModState> modState_;
-    std::vector<std::uint32_t> modAccessing_; //!< buffered: server busy
-    std::vector<std::deque<int>> inputQueues_;
-    std::vector<std::deque<Response>> outputQueues_;
+    std::vector<ModState> modState_; //!< unbuffered organization
 
     /**
      * Next tick the bus can grant: now + 1 after a grant (the

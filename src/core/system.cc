@@ -25,8 +25,7 @@ SingleBusSystem::SingleBusSystem(const SystemConfig &config)
     for (auto &bucket : thinkBuckets_)
         bucket.reserve(static_cast<std::size_t>(cfg_.numProcessors));
     thinkBucketDue_.assign(pc, 0);
-    thinkMaskUsable_ = pc <= 63;
-    thinkMaskAll_ = thinkMaskUsable_ ? (1ull << pc) - 1 : 0;
+    thinkDue_.resize(pc);
 }
 
 std::vector<std::size_t>
@@ -43,46 +42,28 @@ void
 SingleBusSystem::refreshModule(int module)
 {
     const Module &mod = mods_[module];
-    bool accept = mod.state == ModState::Idle;
-    bool response = mod.state == ModState::HoldingResponse;
-    if (cfg_.buffered) {
-        // Granted requests still on the bus hold their input slot.
-        accept = bus_.inputHasRoom(
-            static_cast<int>(mod.inputQueue.size()) + mod.reservedInput,
-            mod.accessing);
-        response = !mod.outputQueue.empty();
-    }
-    bus_.refreshModule(module, accept, response);
+    if (cfg_.buffered)
+        bus_.refreshQueued(module, mod.reservedInput);
+    else
+        bus_.refreshModule(module, mod.state == ModState::Idle,
+                           mod.state == ModState::HoldingResponse);
 }
 
 void
-SingleBusSystem::requestArbitration()
+SingleBusSystem::checkCompletionTick() const
 {
-    // While arbitrate() itself runs (granting), candidates surfacing
-    // from its side effects are covered by the post-grant arbitration
-    // at the next cycle; scheduling here would double-grant the bus
-    // within one cycle.
-    if (inArbitration_ || arbitrationAt_ != kNever)
-        return;
-    // The coalesced bus cycle already ends in an arbitration.
-    if (inBusCycle_ || busCycleAt_ != kNever)
-        return;
-    // With incrementally maintained candidate sets an empty-handed
-    // arbitration is knowable in advance (no RNG, no state change).
-    if (!bus_.hasCandidates())
-        return;
-    arbitrationAt_ = now_;
-}
-
-void
-SingleBusSystem::startAccess(int module, int proc)
-{
-    // Same-tick updates run in the order they were scheduled, and
-    // dispatchDue runs completions before the bus cycle: a bus cycle
-    // already pending at the due tick would have to go first.
+    // Completions run before the transfer-done at a shared tick: a
+    // transfer already pending at the due tick would have to go first.
     sbn_assert(now_ + static_cast<Tick>(cfg_.memoryRatio) != busCycleAt_,
                "completion scheduled onto a pending bus cycle's tick");
-    bus_.startAccess(module, proc, now_);
+}
+
+void
+SingleBusSystem::startQueuedAccess(int module)
+{
+    if (bus_.startQueuedAccess(module, now_))
+        checkCompletionTick();
+    refreshModule(module);
 }
 
 bool
@@ -95,19 +76,8 @@ SingleBusSystem::drawProcessor(int proc, Tick now)
         // boundaries).
         return false;
     }
-    const int target = workload_.sampleTarget(proc, rng_);
-    bus_.issue(proc, target, now);
-    if (bus_.canAccept(target))
-        requestArbitration();
+    bus_.issue(proc, workload_.sampleTarget(proc, rng_), now);
     return true;
-}
-
-void
-SingleBusSystem::processorReady(int proc)
-{
-    if (drawProcessor(proc, now_))
-        return;
-    enterThinking(proc, now_);
 }
 
 void
@@ -119,8 +89,7 @@ SingleBusSystem::enterThinking(int proc, Tick now)
     auto &bucket = thinkBuckets_[idx];
     if (bucket.empty()) {
         thinkBucketDue_[idx] = due;
-        if (thinkMaskUsable_)
-            thinkMask_ |= 1ull << idx;
+        thinkDue_.insert(idx);
     } else {
         sbn_assert(thinkBucketDue_[idx] == due,
                    "think bucket due-tick invariant violated");
@@ -130,52 +99,6 @@ SingleBusSystem::enterThinking(int proc, Tick now)
         thinkNextDue_ = due;
         thinkNextIdx_ = idx;
     }
-}
-
-void
-SingleBusSystem::refreshNextThink(Tick now, std::size_t r0)
-{
-    const auto pc = static_cast<Tick>(cfg_.processorCycle());
-    if (thinkingCount_ == 0) {
-        thinkNextDue_ = kNever;
-        return;
-    }
-    if (thinkMaskUsable_) {
-        // Every nonempty bucket is due within (now, now + pc], and
-        // residues come due in cyclic order, so rotating the
-        // nonempty mask to put now's residue at bit 0 turns the
-        // lookup into a count-trailing-zeros. Bit 0 after rotation
-        // is now's own bucket, just processed: due a full cycle out.
-        std::uint64_t rotated = thinkMask_;
-        if (r0 != 0) {
-            rotated = (rotated >> r0) |
-                      (rotated << (static_cast<unsigned>(pc) -
-                                   static_cast<unsigned>(r0)));
-            rotated &= thinkMaskAll_;
-        }
-        sbn_assert(rotated != 0, "refreshNextThink with no thinkers");
-        Tick dist;
-        if ((rotated & 1u) != 0 && (rotated &= rotated - 1) == 0)
-            dist = pc;
-        else
-            dist = static_cast<Tick>(__builtin_ctzll(rotated));
-        const Tick raw = static_cast<Tick>(r0) + dist;
-        thinkNextIdx_ =
-            static_cast<std::size_t>(raw >= pc ? raw - pc : raw);
-        thinkNextDue_ = now + dist;
-        return;
-    }
-
-    Tick next = kNever;
-    std::size_t idx = 0;
-    for (std::size_t b = 0; b < thinkBuckets_.size(); ++b) {
-        if (!thinkBuckets_[b].empty() && thinkBucketDue_[b] < next) {
-            next = thinkBucketDue_[b];
-            idx = b;
-        }
-    }
-    thinkNextDue_ = next;
-    thinkNextIdx_ = idx;
 }
 
 void
@@ -202,51 +125,36 @@ SingleBusSystem::processThinkTick(Tick now, std::size_t idx)
     bucket.resize(keep);
     thinkBucketDue_[idx] = now + pc;
     thinkingCount_ -= static_cast<int>(count - keep);
-    if (keep == 0 && thinkMaskUsable_)
-        thinkMask_ &= ~(1ull << idx);
-    refreshNextThink(now, idx);
+    if (keep == 0)
+        thinkDue_.erase(idx);
+    if (thinkingCount_ == 0) {
+        thinkNextDue_ = kNever;
+        return;
+    }
+    // Every nonempty bucket is due within (now, now + pc], and
+    // residues come due in cyclic order: the next one is the first
+    // nonempty residue after idx, or idx itself a full cycle out.
+    const std::size_t next = thinkDue_.nextCyclic(
+        idx + 1 == thinkBuckets_.size() ? 0 : idx + 1);
+    thinkNextIdx_ = next;
+    thinkNextDue_ = now + (next > idx ? static_cast<Tick>(next - idx)
+                                      : pc - static_cast<Tick>(idx - next));
 }
 
 void
 SingleBusSystem::memoryCompletion(int module)
 {
-    Module &mod = mods_[module];
-    const int proc = bus_.finishAccess(module, now_);
-
-    if (!cfg_.buffered) {
-        sbn_assert(mod.state == ModState::Accessing,
-                   "completion on non-accessing module");
-        mod.state = ModState::HoldingResponse;
-        refreshModule(module);
-        requestArbitration();
+    if (cfg_.buffered) {
+        bus_.finishQueuedAccess(module, now_);
+        startQueuedAccess(module);
         return;
     }
-
-    mod.outputQueue.push_back(Response{proc, now_});
-    mod.accessing = false;
-    refreshModule(module);
-    maybeStartBufferedAccess(module);
-    requestArbitration();
-}
-
-void
-SingleBusSystem::maybeStartBufferedAccess(int module)
-{
     Module &mod = mods_[module];
-    if (mod.accessing || mod.inputQueue.empty())
-        return;
-    if (cfg_.outputCapacity > 0 &&
-        static_cast<int>(mod.outputQueue.size()) >= cfg_.outputCapacity)
-        return; // blocked until a response drains
-
-    const int proc = mod.inputQueue.front();
-    mod.inputQueue.pop_front();
-    mod.accessing = true;
-    bus_.noteQueueDepth(module, now_, -1);
-    startAccess(module, proc);
+    sbn_assert(mod.state == ModState::Accessing,
+               "completion on non-accessing module");
+    bus_.finishAccess(module, now_);
+    mod.state = ModState::HoldingResponse;
     refreshModule(module);
-    // An input slot freed: a waiting processor may now be eligible.
-    requestArbitration();
 }
 
 void
@@ -254,54 +162,38 @@ SingleBusSystem::transferDone()
 {
     const BusTransfer xfer = busTransfer_;
     busTransfer_ = BusTransfer{};
+    sbn_assert(xfer.kind != BusTransfer::Kind::None,
+               "transfer-done with idle bus");
+    Module &mod = mods_[xfer.module];
 
     if (xfer.kind == BusTransfer::Kind::Request) {
-        Module &mod = mods_[xfer.module];
-        if (!cfg_.buffered) {
-            sbn_assert(mod.state == ModState::RequestInFlight,
-                       "request arrived at module in wrong state");
-            mod.state = ModState::Accessing;
-            startAccess(xfer.module, xfer.proc);
-            refreshModule(xfer.module);
-        } else {
+        if (cfg_.buffered) {
             --mod.reservedInput;
             sbn_assert(mod.reservedInput >= 0, "reservation underflow");
-            mod.inputQueue.push_back(xfer.proc);
-            refreshModule(xfer.module);
-            maybeStartBufferedAccess(xfer.module);
+            bus_.enqueueRequest(xfer.module, xfer.proc);
+            startQueuedAccess(xfer.module);
+            return;
         }
+        sbn_assert(mod.state == ModState::RequestInFlight,
+                   "request arrived at module in wrong state");
+        mod.state = ModState::Accessing;
+        checkCompletionTick();
+        bus_.startAccess(xfer.module, xfer.proc, now_);
+        refreshModule(xfer.module);
         return;
     }
 
-    sbn_assert(xfer.kind == BusTransfer::Kind::Response,
-               "transfer-done with idle bus");
-
     if (!cfg_.buffered) {
-        Module &mod = mods_[xfer.module];
         sbn_assert(mod.state == ModState::ResponseInFlight,
                    "response finished from module in wrong state");
         mod.state = ModState::Idle;
         refreshModule(xfer.module);
-        // Requests queued for this module become eligible.
-        requestArbitration();
     }
 
     // Deliver to the processor; it immediately starts its next
     // processor cycle (issue or think).
-    processorReady(xfer.proc);
-}
-
-void
-SingleBusSystem::busCycle()
-{
-    // Coalesced bus cycle: the transfer completes, then -- all
-    // same-tick state updates having already run, since nothing can
-    // be scheduled between the two -- the next arbitration decides,
-    // exactly where a separate idle-bus arbitration would have run.
-    inBusCycle_ = true;
-    transferDone();
-    inBusCycle_ = false;
-    arbitrate();
+    if (!drawProcessor(xfer.proc, now_))
+        enterThinking(xfer.proc, now_);
 }
 
 void
@@ -310,26 +202,15 @@ SingleBusSystem::arbitrate()
     const Tick now = now_;
     sbn_assert(busTransfer_.kind == BusTransfer::Kind::None,
                "arbitrating while the bus is busy");
-    inArbitration_ = true;
 
     // Random draws pickIndex over the candidate count from the shared
     // stream, every time - the historical draw order exactly.
+    const auto pick = [&](std::size_t count) { return rng_.pickIndex(count); };
     int chosen_proc = -1;
     int chosen_mod = -1;
-    const bool granted = bus_.select(
-        [&](std::size_t count) { return rng_.pickIndex(count); },
-        [&](int m) {
-            return cfg_.buffered
-                       ? mods_[m].outputQueue.front().readyTick
-                       : bus_.accessStart(m) +
-                             static_cast<Tick>(cfg_.memoryRatio);
-        },
-        chosen_proc, chosen_mod);
-    if (!granted) {
-        // Bus goes idle; a future state change reschedules us.
-        inArbitration_ = false;
-        return;
-    }
+    if (!(cfg_.buffered ? bus_.select<true>(pick, chosen_proc, chosen_mod)
+                        : bus_.select<false>(pick, chosen_proc, chosen_mod)))
+        return; // bus goes idle
 
     if (chosen_proc >= 0)
         grantRequest(chosen_proc);
@@ -337,10 +218,8 @@ SingleBusSystem::arbitrate()
         grantResponse(chosen_mod);
 
     bus_.countBusCycle(now);
-    // One coalesced bus cycle replaces the transfer-done/arbitrate
-    // pair: the bus stays busy through the next cycle either way.
+    // The transfer lands, and the bus decides again, next cycle.
     busCycleAt_ = now + 1;
-    inArbitration_ = false;
 }
 
 void
@@ -378,11 +257,9 @@ SingleBusSystem::grantResponse(int module)
         mod.state = ModState::ResponseInFlight;
         refreshModule(module);
     } else {
-        proc = mod.outputQueue.front().proc;
-        mod.outputQueue.pop_front();
-        refreshModule(module);
+        proc = bus_.popResponse(module);
         // The output slot freed; a blocked module can resume.
-        maybeStartBufferedAccess(module);
+        startQueuedAccess(module);
     }
 
     busTransfer_ = BusTransfer{BusTransfer::Kind::Response, proc, module};
@@ -395,9 +272,8 @@ SingleBusSystem::grantResponse(int module)
 }
 
 // Flatten, as FastStat's runLoop: inline the whole per-event chain
-// (dispatchDue -> busCycle -> transferDone -> processorReady ->
-// drawProcessor -> the RNG draws, BusMachine and the Welford update)
-// into the driver loop, so an event makes no call.
+// (transferDone -> drawProcessor -> the RNG draws, BusMachine and the
+// Welford update) into the driver loop, so an event makes no call.
 __attribute__((flatten)) void
 SingleBusSystem::runCycleSkip()
 {
@@ -406,51 +282,35 @@ SingleBusSystem::runCycleSkip()
     for (int p = 0; p < cfg_.numProcessors; ++p)
         bucket0.push_back(p);
     thinkBucketDue_[0] = 0;
-    if (thinkMaskUsable_)
-        thinkMask_ |= 1ull << 0;
+    thinkDue_.insert(0);
     thinkingCount_ = cfg_.numProcessors;
     thinkNextDue_ = 0;
     thinkNextIdx_ = 0;
 
-    // Driver: jump to the earliest tick holding think draws or
-    // scheduled events. The think calendar goes first on a tie: its
-    // draws are processor-ready updates booked a full processor cycle
-    // earlier than anything else due at the tick.
+    // Driver: jump to the earliest tick holding think draws, memory
+    // completions or a landing transfer, and run that tick in the
+    // order the file comment gives. The think calendar goes first:
+    // its draws are processor-ready updates booked a full processor
+    // cycle earlier than anything else due at the tick.
     while (true) {
         const Tick tc = thinkingCount_ > 0 ? thinkNextDue_ : kNever;
-        const Tick now = std::min(tc, nextScheduled());
+        const Tick now = std::min({tc, busCycleAt_, bus_.nextCompletion()});
         if (now >= bus_.windowEnd())
             break;
         now_ = now;
         if (tc == now)
             processThinkTick(now, thinkNextIdx_);
-        dispatchDue(now);
-    }
-}
-
-Tick
-SingleBusSystem::nextScheduled() const
-{
-    return std::min({busCycleAt_, arbitrationAt_, bus_.nextCompletion()});
-}
-
-void
-SingleBusSystem::dispatchDue(Tick now)
-{
-    // Nothing run here schedules anything due at this tick except
-    // the idle-bus arbitration, which runs last.
-    while (bus_.nextCompletion() == now) {
-        ++dispatched_;
-        memoryCompletion(bus_.popCompletion());
-    }
-    if (busCycleAt_ == now) {
-        busCycleAt_ = kNever;
-        ++dispatched_;
-        busCycle();
-    }
-    if (arbitrationAt_ == now) {
-        arbitrationAt_ = kNever;
-        ++dispatched_;
+        while (bus_.nextCompletion() == now) {
+            ++dispatched_;
+            memoryCompletion(bus_.popCompletion());
+        }
+        if (busCycleAt_ == now) {
+            busCycleAt_ = kNever;
+            ++dispatched_;
+            transferDone();
+        } else if (bus_.hasCandidates()) {
+            ++dispatched_; // an idle-bus arbitration
+        }
         arbitrate();
     }
 }

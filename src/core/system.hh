@@ -8,8 +8,8 @@
  * accesses take r cycles; an uncontended request therefore completes
  * a processor cycle in r+2 bus cycles.
  *
- * The model is event-driven rather than cycle-stepped: arbitration
- * runs only in cycles where a grant could happen, and quiescent spans
+ * The model is event-driven rather than cycle-stepped: the driver
+ * visits only ticks where something happens, and quiescent spans
  * (all processors thinking / all modules accessing) are skipped.
  *
  * The system is synchronous to the bus cycle, so every scheduled
@@ -17,26 +17,27 @@
  *   - a memory completion at access start + r, kept in BusMachine's
  *     FIFO ring (accesses start at the monotone current tick and all
  *     last r, so schedule order is due order);
- *   - the coalesced bus cycle (transfer done, then arbitrate) at
- *     grant + 1, one slot;
- *   - the idle-bus arbitration at the current tick, one slot.
+ *   - the transfer's landing at grant + 1, one slot.
  *
- * Order within one tick:
+ * Order within one event tick:
  *   1. think-calendar draws (processor-ready updates);
  *   2. memory completions due now, in schedule order;
- *   3. the bus cycle;
- *   4. the idle-bus arbitration, which therefore observes a
- *      consistent end-of-cycle state.
- * Same-tick updates (2 and 3) run in the order they were scheduled;
- * the shared-RNG draw order, and so every golden pin, depends on it.
- * Completions can go first because none is ever scheduled onto a
- * tick whose bus cycle is already pending (asserted where
- * completions are scheduled; tests/golden/kernel_metrics_r1.txt pins
- * r = 1, where the two share ticks).
+ *   3. the transfer landing now, if any;
+ *   4. one arbitration, which therefore observes a consistent
+ *      end-of-tick state (it returns at once with no candidates).
+ * The shared-RNG draw order, and so every golden pin, depends on
+ * this order. Completions can go first because none is ever
+ * scheduled onto a tick whose transfer is already pending (asserted
+ * where accesses start; tests/golden/kernel_metrics_r1.txt pins
+ * r = 1, where the two share ticks). An arbitration without
+ * candidates draws nothing, and a candidate only appears through a
+ * state change, whose own tick then arbitrates: so a grant comes at
+ * the first tick it can, and no RNG draw moves.
  *
  * Thinking processors sit in a calendar of processorCycle()
  * tick-buckets drained by the driver loop, so a think redraw costs
- * one Bernoulli and O(1) bucket work.
+ * one Bernoulli and O(1) bucket work. The next due bucket is the next
+ * nonempty residue, cyclically (IndexSet::nextCyclic).
  *
  * The driver loop (runCycleSkip) is flattened, as FastStat's is: the
  * whole per-event chain, BusMachine, the inline RNG draws
@@ -45,12 +46,12 @@
  * "Kernel hot path" records its size.
  *
  * The bookkeeping this kernel shares with FastStat lives once, in
- * core/bus_machine.hh: outstanding requests, the arbitration
- * candidate bit-sets (maintained incrementally at the state
- * transitions that change eligibility), the completion ring,
- * FCFS/Random selection and the Metrics accounting. This file keeps
- * what is CycleSkip's own: the think calendar, the bus's in-flight
- * states, the arbitration schedule and Welford wait moments. The
+ * core/bus_machine.hh: outstanding requests, the buffered module
+ * queues, the arbitration candidate bit-sets (maintained
+ * incrementally at the state transitions that change eligibility),
+ * the completion ring, FCFS/Random selection and the Metrics
+ * accounting. This file keeps what is CycleSkip's own: the think
+ * calendar, the bus's in-flight states and Welford wait moments. The
  * golden Metrics pins in tests/golden/kernel_metrics*.txt are the
  * regression net.
  *
@@ -64,12 +65,12 @@
 #ifndef SBN_CORE_SYSTEM_HH
 #define SBN_CORE_SYSTEM_HH
 
-#include <deque>
 #include <vector>
 
 #include "core/bus_machine.hh"
 #include "core/config.hh"
 #include "core/metrics.hh"
+#include "util/index_set.hh"
 #include "util/random.hh"
 #include "workload/workload.hh"
 
@@ -88,12 +89,10 @@ class SingleBusSystem
     /** Run warmup + measurement and return the collected metrics. */
     Metrics run();
 
-    /** The configuration this system was built with. */
-    const SystemConfig &config() const { return cfg_; }
-
     /**
-     * Scheduled events dispatched so far: memory completions, bus
-     * cycles and idle-bus arbitrations (perf accounting).
+     * Events dispatched so far: memory completions, transfer landings
+     * and idle-bus arbitrations on ticks with candidates (perf
+     * accounting).
      */
     std::uint64_t eventsDispatched() const { return dispatched_; }
 
@@ -118,22 +117,10 @@ class SingleBusSystem
         ResponseInFlight //!< response on the bus
     };
 
-    struct Response
-    {
-        int proc;
-        Tick readyTick;
-    };
-
     struct Module
     {
-        // Unbuffered state machine.
-        ModState state = ModState::Idle;
-
-        // Buffered organization (config.buffered).
-        bool accessing = false;
-        std::deque<int> inputQueue;      //!< waiting request procs
-        std::deque<Response> outputQueue; //!< waiting responses
-        int reservedInput = 0; //!< granted requests still on the bus
+        ModState state = ModState::Idle; //!< unbuffered organization
+        int reservedInput = 0; //!< buffered: granted requests on the bus
     };
 
     /** The transfer currently occupying the bus. */
@@ -145,19 +132,15 @@ class SingleBusSystem
     };
 
     // --- behaviour ---------------------------------------------------
-    void processorReady(int proc);
     void memoryCompletion(int module);
     void transferDone();
     void arbitrate();
-    void busCycle();
-
-    void requestArbitration();
-    void startAccess(int module, int proc);
-    void refreshModule(int module);
-    void maybeStartBufferedAccess(int module);
-
     void grantRequest(int proc);
     void grantResponse(int module);
+
+    void refreshModule(int module);
+    void startQueuedAccess(int module);
+    void checkCompletionTick() const;
 
     /**
      * One processor-cycle draw: issue (true) or think (false). The
@@ -168,10 +151,7 @@ class SingleBusSystem
 
     // --- cycle-skip kernel --------------------------------------------
     void runCycleSkip();
-    Tick nextScheduled() const;
-    void dispatchDue(Tick now);
     void processThinkTick(Tick now, std::size_t bucket_idx);
-    void refreshNextThink(Tick now, std::size_t r0);
     void enterThinking(int proc, Tick now);
 
     SystemConfig cfg_;
@@ -182,15 +162,12 @@ class SingleBusSystem
     std::vector<Module> mods_;
 
     BusTransfer busTransfer_;
-    bool inArbitration_ = false; //!< guards re-entrant rescheduling
-    bool inBusCycle_ = false;    //!< transfer phase of busCycle()
 
     // --- fixed-stride schedule ----------------------------------------
     Tick now_ = 0;
     std::uint64_t dispatched_ = 0;
 
-    Tick busCycleAt_ = kNever;    //!< coalesced transfer+arbitrate
-    Tick arbitrationAt_ = kNever; //!< idle-bus wakeup
+    Tick busCycleAt_ = kNever; //!< the granted transfer lands
 
     /**
      * Think calendar: bucket b holds, in event order, the thinking
@@ -206,14 +183,11 @@ class SingleBusSystem
     std::uint64_t thinkDraws_ = 0;
 
     /**
-     * Bit b set <=> thinkBuckets_[b] nonempty, for processor cycles
-     * of at most 63 ticks (thinkMaskUsable_). Buckets come due in
-     * cyclic residue order, so the next think tick is a rotate+ctz
-     * instead of an O(processorCycle) scan of the due array.
+     * Member b <=> thinkBuckets_[b] nonempty. Buckets come due in
+     * cyclic residue order, so the next think tick is the next member
+     * after the current residue, cyclically.
      */
-    std::uint64_t thinkMask_ = 0;
-    std::uint64_t thinkMaskAll_ = 0; //!< low processorCycle() bits
-    bool thinkMaskUsable_ = false;
+    IndexSet thinkDue_;
 
     /**
      * Cached earliest pending think tick and its bucket, so the

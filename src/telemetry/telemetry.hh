@@ -42,8 +42,8 @@ namespace sbn {
 enum class TelemetryCounter : unsigned
 {
     SimRuns,              //!< kernel run() calls completed
-    SimHeapEvents,        //!< CycleSkip scheduled-event dispatches
-                          //!< (completions, bus cycles, idle-bus
+    SimHeapEvents,        //!< CycleSkip event dispatches
+                          //!< (completions, transfer-dones, idle-bus
                           //!< arbitrations)
     SimCalendarDrains,    //!< CycleSkip think-calendar bucket drains
     SimThinkDraws,        //!< think/issue draws (both kernels)

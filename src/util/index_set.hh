@@ -158,6 +158,27 @@ class IndexSet
         }
     }
 
+    /**
+     * First member at or after @p from, wrapping past the last index
+     * to 0. @pre !empty() and from < capacity()
+     */
+    std::size_t
+    nextCyclic(std::size_t from) const
+    {
+        sbn_assert(count_ != 0 && from < capacity_,
+                   "IndexSet::nextCyclic on an empty set or out of range");
+        std::size_t w = from / 64;
+        // Bits below from in its own word are seen again, whole, only
+        // after the search wraps around to that word.
+        std::uint64_t word = words_[w] & (~0ull << (from % 64));
+        while (word == 0) {
+            if (++w == words_.size())
+                w = 0;
+            word = words_[w];
+        }
+        return w * 64 + static_cast<std::size_t>(__builtin_ctzll(word));
+    }
+
     /** Visit members in ascending order. */
     template <typename Fn>
     void

@@ -3,7 +3,7 @@
  * Shared helper for exact-match golden Metrics pinning (see
  * docs/testing.md). A golden file holds "label value" lines; values
  * are compared as serialized strings (%.17g for doubles, so the
- * comparison is bit-exact), and SBN_REGEN_GOLDEN=1 regenerates the
+ * comparison is bit-exact; a value may also be one flat-JSON object), and SBN_REGEN_GOLDEN=1 regenerates the
  * file in the source tree instead of comparing.
  */
 
@@ -74,7 +74,11 @@ checkExactGolden(const std::string &name,
     while (std::getline(in, line)) {
         if (line.empty() || line[0] == '#')
             continue;
-        const std::size_t split = line.rfind(' ');
+        // Labels may hold spaces; values do not, except a flat-JSON
+        // object value, which starts at the line's first " {".
+        std::size_t split = line.find(" {");
+        if (split == std::string::npos)
+            split = line.rfind(' ');
         ASSERT_NE(split, std::string::npos) << "bad line: " << line;
         expected.push_back(
             {line.substr(0, split), line.substr(split + 1)});

@@ -142,12 +142,12 @@ TEST(GoldenKernelMetrics, CycleSkipPinnedPolicyVariants)
 }
 
 /**
- * Same-tick order at r = 1, where a memory completion and the
- * coalesced bus cycle can fall on one tick: completions due at a tick
- * must run before that tick's bus cycle, and both before the idle-bus
- * arbitration. Swapping any two of these changes the grant decisions,
- * so every line here moves; the dispatch count pins how many scheduled
- * events the kernel ran to get there.
+ * Same-tick order at r = 1, where a memory completion and a
+ * transfer's landing can fall on one tick: completions due at a tick
+ * must run before that tick's transfer-done, and both before the
+ * tick's arbitration. Swapping any two of these changes the grant
+ * decisions, so every line here moves; the dispatch count pins how
+ * many events the kernel ran to get there.
  */
 TEST(GoldenKernelMetrics, CycleSkipPinnedSameTickOrderAtR1)
 {

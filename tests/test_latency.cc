@@ -3,8 +3,8 @@
  * Latency-distribution tests (config.collectLatency): passivity of
  * the collection, determinism of the flat-JSON render across thread
  * counts and shard/serial merge order, internal consistency of the
- * wait/residence histograms against the scalar wait statistics, and
- * the record-carried quantile summary.
+ * wait/residence histograms against the scalar wait statistics, the
+ * record-carried quantile summary, and a golden pin of every bin.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "core/experiment.hh"
 #include "core/metrics.hh"
 #include "exec/parallel_runner.hh"
+#include "golden_util.hh"
 #include "stats/accumulator.hh"
 
 namespace sbn {
@@ -182,6 +183,41 @@ TEST(Latency, PointSampleSummaryMatchesHistograms)
     SystemConfig off = cfg;
     off.collectLatency = false;
     EXPECT_FALSE(runPointSample(off).hasLatency);
+}
+
+TEST(GoldenLatencyBins, PinnedWaitAndResidenceHistograms)
+{
+    // The full wait and residence histograms, every bin's count, of
+    // one unbuffered and one buffered config per kernel. The sweep
+    // records carry only counts and bin-granularity quantiles, so
+    // this is what catches a sample landing one bin off.
+    std::vector<golden::GoldenLine> computed;
+    for (KernelKind kernel :
+         {KernelKind::CycleSkip, KernelKind::FastStat}) {
+        for (bool buffered : {false, true}) {
+            SystemConfig cfg;
+            cfg.kernel = kernel;
+            cfg.buffered = buffered;
+            cfg.numProcessors = 8;
+            cfg.numModules = 4;
+            cfg.memoryRatio = 6;
+            cfg.requestProbability = 0.5;
+            cfg.warmupCycles = 1000;
+            cfg.measureCycles = 20000;
+            cfg.collectLatency = true;
+            cfg.seed = 5;
+            const Metrics m = runOnce(cfg);
+            const std::string label =
+                std::string(kernel == KernelKind::FastStat ? "faststat"
+                                                           : "cycleskip") +
+                (buffered ? " buffered" : " unbuffered");
+            computed.push_back(
+                {label + " wait", m.latencyWait->renderFlatJson()});
+            computed.push_back({label + " residence",
+                                m.latencyResidence->renderFlatJson()});
+        }
+    }
+    golden::checkExactGolden("latency_bins", computed);
 }
 
 } // namespace

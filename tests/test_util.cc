@@ -232,6 +232,30 @@ TEST(IndexSet, NthAndForEachAscend)
     EXPECT_EQ(visited, members);
 }
 
+TEST(IndexSet, NextCyclicWrapsAcrossWords)
+{
+    // Against a scan, at every start, for one- and multi-word sets
+    // (the think calendar's processor cycle can pass 64).
+    for (std::size_t capacity : {5, 64, 70, 130}) {
+        IndexSet set(capacity);
+        const std::vector<std::size_t> members{2, capacity - 1,
+                                               capacity / 2};
+        for (std::size_t i : members)
+            set.insert(i);
+        for (std::size_t from = 0; from < capacity; ++from) {
+            std::size_t expect = from;
+            while (!set.contains(expect))
+                expect = expect + 1 == capacity ? 0 : expect + 1;
+            EXPECT_EQ(set.nextCyclic(from), expect)
+                << "capacity=" << capacity << " from=" << from;
+        }
+    }
+    IndexSet single(70);
+    single.insert(66);
+    EXPECT_EQ(single.nextCyclic(66), 66u); // its own member
+    EXPECT_EQ(single.nextCyclic(67), 66u); // a full wrap
+}
+
 TEST(IndexSet, BulkUnionAndDifferenceTrackCounts)
 {
     IndexSet a(100), b(100);
