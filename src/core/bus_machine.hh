@@ -1,39 +1,45 @@
 /**
  * @file
- * The bookkeeping both simulation kernels share.
+ * The bus machine both simulation kernels share: its state and every
+ * module transition.
  *
  * CycleSkip (core/system.hh) and FastStat (core/faststat.hh) simulate
- * one machine: n processors and m modules on one multiplexed bus.
- * They differ in how processors draw think time, how a bus flight is
- * modelled and how wait moments are summed. Everything else lives
- * here, once:
+ * one machine: n processors and m modules on one multiplexed bus,
+ * driven by one loop (core/bus_kernel.hh). Everything but the
+ * processors' random draws and the wait moments lives here, once:
  *
  *  - **Outstanding requests and module servers**: each processor's
  *    target and issue tick, each module's served processor and access
  *    start.
- *  - **Buffered module queues** (config.buffered): each module's input
- *    and output queues and server flag, with the enqueue, start,
- *    finish and pop transitions and the acceptance rule.
+ *  - **Module state.** An unbuffered module is Idle, Accessing or
+ *    HoldingResponse, and its two arbitration flags are that state:
+ *    Idle accepts requests, HoldingResponse holds a response, and
+ *    Accessing does neither. A buffered module (config.buffered) has
+ *    input and output queues and a server flag; its flags follow from
+ *    them (refreshQueued()).
+ *  - **Module transitions**: request grant, response grant and memory
+ *    completion, each templated on config.buffered and each checking
+ *    the state it leaves in every build.
+ *  - **The bus flight.** A transfer holds the bus for exactly one
+ *    tick and nothing arbitrates while it is in the air, so a grant
+ *    applies every module effect at once. A granted request's access,
+ *    or its place in the input queue, starts with its arrival tick,
+ *    now + 1; a response grant frees the module, or pops its response
+ *    and restarts its server, at now. The bus has no in-flight state;
+ *    only the delivered processor's own draw is left to the kernel.
  *  - **Arbitration eligibility**: candidate bit-sets kept in lockstep
- *    with the state transitions that change them. An unbuffered
- *    kernel decides whether a module can accept a request or holds a
- *    response and feeds the two booleans to refreshModule(); a
- *    buffered module's flags follow from its queues
- *    (refreshQueued()).
+ *    with the transitions that change them.
  *  - **Completion ring**: every access starts at the monotone current
- *    tick and lasts exactly r, so pending completions form a FIFO ring
- *    of m slots (a module runs one access at a time).
+ *    or next tick and lasts exactly r, so pending completions form a
+ *    FIFO ring of m slots (a module runs one access at a time).
  *  - **Selection**: the policy and FCFS/Random rule. The kernel passes
  *    the Random draw in, so each keeps its own RNG stream.
  *  - **Observation**: window counters, per-module busy and queue-depth
  *    integration, the latency histograms and the Metrics assembly.
  *
- * Both kernels arbitrate once at the end of every event tick, after
- * that tick's state changes.
- *
- * Header-only, so both kernels' flattened driver loops inline all of
- * it. Nothing here draws random numbers: the kernels' RNG streams,
- * and so every golden pin, are untouched by this bookkeeping.
+ * Header-only, so the flattened driver loops inline all of it.
+ * Nothing here draws random numbers: the kernels' RNG streams, and so
+ * every golden pin, are untouched by this bookkeeping.
  */
 
 #ifndef SBN_CORE_BUS_MACHINE_HH
@@ -116,9 +122,6 @@ class BusMachine
 
     Tick windowEnd() const { return windowEnd_; }
 
-    // --- requests and module servers ----------------------------------
-    int serving(int module) const { return modServing_[idx(module)]; }
-
     /** proc issues a request to target at now and starts waiting. */
     void
     issue(int proc, int target, Tick now)
@@ -133,38 +136,72 @@ class BusMachine
         noteQueueDepth(target, now, +1);
     }
 
-    /** proc's request won the bus: it stops waiting. Returns its target. */
-    int
-    grantRequest(int proc)
+    // --- module transitions -------------------------------------------
+    // Buffered is config.buffered, fixed at compile time so a templated
+    // driver loop carries only its own organization's code.
+
+    /**
+     * Grant proc's request at now. It arrives at now + 1: an idle
+     * unbuffered module goes Accessing with that start tick, and a
+     * buffered module queues the request and starts it then if its
+     * server is free.
+     */
+    template <bool Buffered>
+    void
+    grantRequest(int proc, Tick now)
     {
+        countBusCycle(now);
         const int target = procTarget_[idx(proc)];
-        waiterSets_[idx(target)].erase(idx(proc));
+        const auto j = idx(target);
+        waiterSets_[j].erase(idx(proc));
         candProcs_.erase(idx(proc));
-        return target;
+        if constexpr (Buffered) {
+            inputQueues_[j].push_back(proc);
+            startQueuedAccess(target, now + 1);
+            refreshQueued(target);
+        } else {
+            sbn_assert(modCanAccept_[j] && !modHasResponse_[j],
+                       "request granted to a non-idle module");
+            // The request leaves the queue for the (dedicated) server;
+            // buffered requests stay queued until the module starts
+            // them.
+            noteQueueDepth(target, now, -1);
+            setAccept(target, false);
+            startAccess(target, proc, now + 1);
+        }
     }
 
     /**
-     * module starts serving proc at now: the completion is due r
-     * ticks later. Accesses start at the monotone current tick, so the
-     * ring stays in due order; checked here in every build.
+     * Grant module's response at now; returns the processor it goes
+     * to, delivered at now + 1. An unbuffered module goes Idle; a
+     * buffered one pops its oldest response, and its freed output slot
+     * lets a blocked server resume at now. A grant in the window
+     * counts the completion and hands its residence (delivery - issue)
+     * to @p moments, the kernel's own wait accounting.
      */
-    void
-    startAccess(int module, int proc, Tick now)
+    template <bool Buffered, typename Moments>
+    int
+    grantResponse(int module, Tick now, Moments &&moments)
     {
-        modServing_[idx(module)] = proc;
-        modAccessStart_[idx(module)] = now;
-        if (!procServiceStart_.empty())
-            procServiceStart_[idx(proc)] = now;
-        const Tick due = now + memoryRatio_;
-        sbn_assert(completionCount_ < completions_.size() &&
-                       due >= lastCompletionDue_,
-                   "completion ring overflow or out of due order");
-        lastCompletionDue_ = due;
-        std::size_t slot = completionHead_ + completionCount_;
-        if (slot >= completions_.size())
-            slot -= completions_.size();
-        completions_[slot] = Completion{due, module};
-        ++completionCount_;
+        countBusCycle(now);
+        const auto j = idx(module);
+        int proc;
+        if constexpr (Buffered) {
+            std::deque<Response> &output = outputQueues_[j];
+            proc = output.front().proc;
+            output.pop_front();
+            startQueuedAccess(module, now);
+            refreshQueued(module);
+        } else {
+            sbn_assert(modHasResponse_[j] && !modCanAccept_[j],
+                       "response granted from module in wrong state");
+            proc = modServing_[j];
+            setResponse(module, false);
+            setAccept(module, true);
+        }
+        if (inWindow(now))
+            recordCompletion(proc, now + 1, moments);
+        return proc;
     }
 
     /** Due tick of the earliest pending completion, or kNever. */
@@ -175,139 +212,39 @@ class BusMachine
                                      : kNever;
     }
 
-    /** Dequeue the earliest pending completion; returns its module. */
-    int
-    popCompletion()
+    /**
+     * The earliest pending access ends at now (its due tick). An
+     * unbuffered module goes HoldingResponse; a buffered one moves the
+     * response to its output queue and starts its next request.
+     */
+    template <bool Buffered>
+    void
+    memoryCompletion(Tick now)
     {
         const int module = completions_[completionHead_].module;
         if (++completionHead_ == completions_.size())
             completionHead_ = 0;
         --completionCount_;
-        return module;
-    }
-
-    /** module's access ends at now; returns the processor it served. */
-    int
-    finishAccess(int module, Tick now)
-    {
-        // now is an event tick, so now < windowEnd_ always holds; only
-        // the start needs clamping to the window.
-        const Tick lo = std::max(modAccessStart_[idx(module)], windowStart_);
-        if (now > lo) {
-            accessCycles_ += now - lo;
-            if (perModule_)
-                perModBusy_[idx(module)] += now - lo;
+        const auto j = idx(module);
+        if constexpr (Buffered) {
+            sbn_assert(modAccessing_[j], "completion on idle server");
+            outputQueues_[j].push_back(
+                Response{finishAccess(module, now), now});
+            modAccessing_[j] = 0;
+            startQueuedAccess(module, now);
+            refreshQueued(module);
+        } else {
+            sbn_assert(!modCanAccept_[j] && !modHasResponse_[j],
+                       "completion on non-accessing module");
+            finishAccess(module, now);
+            setResponse(module, true);
         }
-        return modServing_[idx(module)];
     }
 
-    // --- buffered module queues (config.buffered) ---------------------
-    /** A granted request joins module's input queue. */
-    void
-    enqueueRequest(int module, int proc)
-    {
-        inputQueues_[idx(module)].push_back(proc);
-    }
-
-    /**
-     * Start module's next queued request at now, unless its server is
-     * busy, its input queue is empty or a bounded output queue is full
-     * (blocked until a response drains). Returns whether one started.
-     */
-    bool
-    startQueuedAccess(int module, Tick now)
-    {
-        const auto j = idx(module);
-        std::deque<int> &input = inputQueues_[j];
-        if (modAccessing_[j] || input.empty())
-            return false;
-        if (outputCapacity_ > 0 &&
-            static_cast<int>(outputQueues_[j].size()) >= outputCapacity_)
-            return false;
-        const int proc = input.front();
-        input.pop_front();
-        modAccessing_[j] = 1;
-        noteQueueDepth(module, now, -1);
-        startAccess(module, proc, now);
-        return true;
-    }
-
-    /** module's access ends at now; its response joins the output queue. */
-    void
-    finishQueuedAccess(int module, Tick now)
-    {
-        outputQueues_[idx(module)].push_back(
-            Response{finishAccess(module, now), now});
-        modAccessing_[idx(module)] = 0;
-    }
-
-    /** Dequeue module's oldest response; returns its processor. */
-    int
-    popResponse(int module)
-    {
-        std::deque<Response> &output = outputQueues_[idx(module)];
-        const int proc = output.front().proc;
-        output.pop_front();
-        return proc;
-    }
-
-    /**
-     * Bring a buffered module's flags up to date from its queues.
-     * @p reserved input slots are held by granted requests still on
-     * the bus. A request heading to an idle, empty module occupies the
-     * server, not a buffer slot.
-     */
-    void
-    refreshQueued(int module, int reserved)
-    {
-        const auto j = idx(module);
-        const int occupied =
-            static_cast<int>(inputQueues_[j].size()) + reserved;
-        const bool accept = inputCapacity_ == 0 ||
-                            (!modAccessing_[j] && occupied == 0) ||
-                            occupied < inputCapacity_;
-        refreshModule(module, accept, !outputQueues_[j].empty());
-    }
-
-    // --- arbitration eligibility --------------------------------------
+    // --- arbitration --------------------------------------------------
     bool hasCandidates() const
     {
         return !candProcs_.empty() || !candMods_.empty();
-    }
-
-    /** Bring module's cached flags and the candidate sets up to date. */
-    void
-    refreshModule(int module, bool accept, bool response)
-    {
-        if (accept != static_cast<bool>(modCanAccept_[idx(module)]))
-            setAccept(module, accept);
-        if (response != static_cast<bool>(modHasResponse_[idx(module)]))
-            setResponse(module, response);
-    }
-
-    /** Flip module's acceptance; @pre it differs from the cached flag. */
-    void
-    setAccept(int module, bool accept)
-    {
-        modCanAccept_[idx(module)] = accept ? 1 : 0;
-        const IndexSet &waiters = waiterSets_[idx(module)];
-        if (waiters.empty())
-            return;
-        if (accept)
-            candProcs_.insertAll(waiters);
-        else
-            candProcs_.eraseAll(waiters);
-    }
-
-    /** Flip module's response flag; @pre it differs from the cache. */
-    void
-    setResponse(int module, bool response)
-    {
-        modHasResponse_[idx(module)] = response ? 1 : 0;
-        if (response)
-            candMods_.insert(idx(module));
-        else
-            candMods_.erase(idx(module));
     }
 
     /**
@@ -316,8 +253,7 @@ class BusMachine
      * eligible. Random selection takes index pick(count) of the
      * ascending candidate set; FCFS takes the earliest issue tick, or
      * the earliest tick a response became ready, lowest index on a
-     * tie. @p Buffered is config.buffered, fixed at compile time so a
-     * templated driver loop carries only its own response key.
+     * tie.
      */
     template <bool Buffered, typename Pick>
     bool
@@ -348,61 +284,6 @@ class BusMachine
     }
 
     // --- observation --------------------------------------------------
-    /** The bus transfers during cycle now. */
-    void countBusCycle(Tick now)
-    {
-        if (inWindow(now))
-            ++busBusy_;
-    }
-
-    /**
-     * Count the response granted to proc at grant_tick, delivered one
-     * tick later, if the grant falls in the window. Feeds the latency
-     * histograms and hands the request's residence (delivery - issue)
-     * to @p moments, the kernel's own wait accounting.
-     */
-    template <typename Moments>
-    void
-    recordCompletion(int proc, Tick grant_tick, Moments &&moments)
-    {
-        if (!inWindow(grant_tick))
-            return;
-        ++completed_;
-        ++perProcCompleted_[idx(proc)];
-        const Tick residence = grant_tick + 1 - procIssue_[idx(proc)];
-        moments(residence);
-        if (latWaitHist_) {
-            latWaitHist_->addTick(
-                procServiceStart_[idx(proc)] - procIssue_[idx(proc)],
-                *latTickBins_);
-            latResidenceHist_->addTick(residence, *latTickBins_);
-        }
-    }
-
-    /**
-     * Per-module queue depth (collectPerModule; a no-op otherwise):
-     * every depth change accrues depth x (window-clipped span since
-     * the last change). Purely passive.
-     */
-    void
-    noteQueueDepth(int module, Tick now, int delta)
-    {
-        if (!perModule_)
-            return;
-        const auto j = idx(module);
-        const Tick lo = std::max(perModDepthSince_[j], windowStart_);
-        const Tick hi = std::min(now, windowEnd_);
-        if (hi > lo) {
-            perModDepthArea_[j] += perModDepth_[j] * (hi - lo);
-            if (perModDepth_[j] > perModDepthMax_[j])
-                perModDepthMax_[j] = perModDepth_[j];
-        }
-        const auto next = static_cast<std::int64_t>(perModDepth_[j]) + delta;
-        sbn_debug_assert(next >= 0, "module queue depth went negative");
-        perModDepth_[j] = static_cast<std::uint64_t>(next);
-        perModDepthSince_[j] = now;
-    }
-
     std::uint64_t completed() const { return completed_; }
 
     /** Capacities of the per-module scratch (no-allocation test). */
@@ -477,6 +358,164 @@ class BusMachine
     bool inWindow(Tick t) const
     {
         return t >= windowStart_ && t < windowEnd_;
+    }
+
+    /** The bus transfers during cycle now. */
+    void
+    countBusCycle(Tick now)
+    {
+        if (inWindow(now))
+            ++busBusy_;
+    }
+
+    /**
+     * A completion granted in the window is delivered to proc at
+     * @p delivery: count it and feed the latency histograms.
+     */
+    template <typename Moments>
+    void
+    recordCompletion(int proc, Tick delivery, Moments &moments)
+    {
+        ++completed_;
+        ++perProcCompleted_[idx(proc)];
+        const Tick residence = delivery - procIssue_[idx(proc)];
+        moments(residence);
+        if (latWaitHist_) {
+            latWaitHist_->addTick(
+                procServiceStart_[idx(proc)] - procIssue_[idx(proc)],
+                *latTickBins_);
+            latResidenceHist_->addTick(residence, *latTickBins_);
+        }
+    }
+
+    /**
+     * module starts serving proc at @p start (now or now + 1): the
+     * completion is due r ticks later. Starts never go back in time,
+     * so the ring stays in due order; checked here in every build.
+     */
+    void
+    startAccess(int module, int proc, Tick start)
+    {
+        modServing_[idx(module)] = proc;
+        modAccessStart_[idx(module)] = start;
+        if (!procServiceStart_.empty())
+            procServiceStart_[idx(proc)] = start;
+        const Tick due = start + memoryRatio_;
+        sbn_assert(completionCount_ < completions_.size() &&
+                       due >= lastCompletionDue_,
+                   "completion ring overflow or out of due order");
+        lastCompletionDue_ = due;
+        std::size_t slot = completionHead_ + completionCount_;
+        if (slot >= completions_.size())
+            slot -= completions_.size();
+        completions_[slot] = Completion{due, module};
+        ++completionCount_;
+    }
+
+    /** module's access ends at now; returns the processor it served. */
+    int
+    finishAccess(int module, Tick now)
+    {
+        // now is an event tick, so now < windowEnd_ always holds; only
+        // the start needs clamping to the window.
+        const Tick lo = std::max(modAccessStart_[idx(module)], windowStart_);
+        if (now > lo) {
+            accessCycles_ += now - lo;
+            if (perModule_)
+                perModBusy_[idx(module)] += now - lo;
+        }
+        return modServing_[idx(module)];
+    }
+
+    /**
+     * Start a buffered module's next queued request at @p start,
+     * unless its server is busy, its input queue is empty or a bounded
+     * output queue is full (blocked until a response drains).
+     */
+    void
+    startQueuedAccess(int module, Tick start)
+    {
+        const auto j = idx(module);
+        std::deque<int> &input = inputQueues_[j];
+        if (modAccessing_[j] || input.empty())
+            return;
+        if (outputCapacity_ > 0 &&
+            static_cast<int>(outputQueues_[j].size()) >= outputCapacity_)
+            return;
+        const int proc = input.front();
+        input.pop_front();
+        modAccessing_[j] = 1;
+        noteQueueDepth(module, start, -1);
+        startAccess(module, proc, start);
+    }
+
+    /**
+     * Bring a buffered module's flags up to date from its queues: it
+     * accepts while its input queue has room (a request granted to an
+     * idle, empty module went straight to the server) and holds a
+     * response while its output queue is nonempty.
+     */
+    void
+    refreshQueued(int module)
+    {
+        const auto j = idx(module);
+        const bool accept =
+            inputCapacity_ == 0 ||
+            static_cast<int>(inputQueues_[j].size()) < inputCapacity_;
+        if (accept != static_cast<bool>(modCanAccept_[j]))
+            setAccept(module, accept);
+        const bool response = !outputQueues_[j].empty();
+        if (response != static_cast<bool>(modHasResponse_[j]))
+            setResponse(module, response);
+    }
+
+    /** Flip module's acceptance; @pre it differs from the cached flag. */
+    void
+    setAccept(int module, bool accept)
+    {
+        modCanAccept_[idx(module)] = accept ? 1 : 0;
+        const IndexSet &waiters = waiterSets_[idx(module)];
+        if (waiters.empty())
+            return;
+        if (accept)
+            candProcs_.insertAll(waiters);
+        else
+            candProcs_.eraseAll(waiters);
+    }
+
+    /** Flip module's response flag; @pre it differs from the cache. */
+    void
+    setResponse(int module, bool response)
+    {
+        modHasResponse_[idx(module)] = response ? 1 : 0;
+        if (response)
+            candMods_.insert(idx(module));
+        else
+            candMods_.erase(idx(module));
+    }
+
+    /**
+     * Per-module queue depth (collectPerModule; a no-op otherwise):
+     * every depth change accrues depth x (window-clipped span since
+     * the last change). Purely passive.
+     */
+    void
+    noteQueueDepth(int module, Tick now, int delta)
+    {
+        if (!perModule_)
+            return;
+        const auto j = idx(module);
+        const Tick lo = std::max(perModDepthSince_[j], windowStart_);
+        const Tick hi = std::min(now, windowEnd_);
+        if (hi > lo) {
+            perModDepthArea_[j] += perModDepth_[j] * (hi - lo);
+            if (perModDepth_[j] > perModDepthMax_[j])
+                perModDepthMax_[j] = perModDepth_[j];
+        }
+        const auto next = static_cast<std::int64_t>(perModDepth_[j]) + delta;
+        sbn_debug_assert(next >= 0, "module queue depth went negative");
+        perModDepth_[j] = static_cast<std::uint64_t>(next);
+        perModDepthSince_[j] = now;
     }
 
     /** Member of @p set with the smallest key, lowest index on a tie. */

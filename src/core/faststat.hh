@@ -2,10 +2,11 @@
  * @file
  * FastStat: the statistical fast-path kernel.
  *
- * Simulates the same stochastic process as the exact CycleSkip kernel
- * (core/system.hh) - the same module state machines, and the same
- * eligibility, selection and metric accounting, shared through
- * core/bus_machine.hh - but deliberately breaks the shared-RNG
+ * FastStatSystem is the shared driver (core/bus_kernel.hh) under
+ * FastStatPolicy: the same bus machine, fused one-tick flight, module
+ * transitions, eligibility, selection and metric accounting as the
+ * exact CycleSkip kernel (core/system.hh), shared through
+ * core/bus_machine.hh. The policy deliberately breaks the shared-RNG
  * draw-order contract that pins CycleSkip to the classic kernel's
  * trajectories. What that buys:
  *
@@ -15,13 +16,10 @@
  *    think span in one inversion instead of one Bernoulli per
  *    processor cycle; in the saturated regime (p = 1) the draw is
  *    free and the think structures are never touched at all.
- *  - **Fused bus flight.** A transfer lasts exactly one tick and
- *    nothing arbitrates mid-flight, so a grant applies its delivery
- *    effects at once, with next-tick timestamps; the bus needs no
- *    in-flight states and arbitration runs on every event tick.
- *  - **Flattened, templated driver loop.** The per-event chain,
- *    BusMachine included, inlines into one loop per organization
- *    (buffered or not).
+ *  - **An arbitration stream of its own** (stream n), drawn only
+ *    when a Random selection has more than one candidate.
+ *  - **Integer wait moments**, summarized into an Accumulator once
+ *    at the end of the run.
  *
  * The cost is bit-compatibility: FastStat trajectories differ from
  * CycleSkip's for the same seed, so CycleSkip's golden pins do not
@@ -44,8 +42,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "core/bus_kernel.hh"
 #include "core/bus_machine.hh"
 #include "core/config.hh"
 #include "core/metrics.hh"
@@ -54,17 +54,46 @@
 
 namespace sbn {
 
-/**
- * One FastStat simulation run. Construct with a SystemConfig (any
- * configuration the exact kernel accepts) and call run() once.
- */
-class FastStatSystem
+/** FastStat's policy for the shared driver (see the file comment). */
+class FastStatPolicy
 {
   public:
-    explicit FastStatSystem(const SystemConfig &config);
+    /**
+     * The delivered processor draws at the grant, with the landing
+     * tick. Deferring it to the landing would move FastStat's pinned
+     * trajectory.
+     */
+    static constexpr bool kDeliverAtLanding = false;
 
-    /** Run warmup + measurement and return the collected metrics. */
-    Metrics run();
+    /** Seeds tick 0: every processor draws then, in index order. */
+    FastStatPolicy(const SystemConfig &cfg, BusMachine &bus);
+
+    Tick
+    nextThink() const
+    {
+        return thinkHeap_.empty() ? kNever : thinkHeap_.front().first;
+    }
+
+    /** Issue every think wake-up due at now. */
+    void drawThinks(BusMachine &bus, Tick now);
+
+    /** proc is ready at now: draw its geometric think span. */
+    void deliver(BusMachine &bus, int proc, Tick now);
+
+    /** Random selection: a singleton set has nothing to tie-break. */
+    std::size_t
+    pick(std::size_t count)
+    {
+        return count == 1 ? 0 : arbRng_.pickIndex(count);
+    }
+
+    void addResidence(Tick residence);
+
+    /**
+     * Flushes no dispatch or calendar counts: ctr.sim.heap_events and
+     * ctr.sim.calendar_drains count CycleSkip's events alone.
+     */
+    Metrics finish(BusMachine &bus, std::uint64_t dispatched);
 
     /**
      * Geometric think-interval draws performed. One per processor
@@ -74,39 +103,16 @@ class FastStatSystem
      */
     std::uint64_t thinkDraws() const { return thinkDraws_; }
 
-  private:
-    /**
-     * Unbuffered module service stages. The exact kernel's transient
-     * in-flight stages do not appear: bus transfers take exactly one
-     * tick and nothing arbitrates mid-flight, so grants apply their
-     * delivery effects immediately with next-tick timestamps.
-     */
-    enum class ModState : std::uint8_t
+    void
+    appendScratchCapacities(std::vector<std::size_t> &caps) const
     {
-        Idle,
-        Accessing,
-        HoldingResponse,
-    };
+        caps.push_back(thinkHeap_.capacity());
+    }
 
-    // --- behaviour ---------------------------------------------------
-    // The per-event chain is templated on the buffered/unbuffered
-    // split: the driver loop instantiates each variant once, so the
-    // saturated unbuffered path (the perf-critical regime) carries no
-    // buffered branches or queue code at all.
-    template <bool Buffered> void runLoop();
-    void processorReady(int proc, Tick now);
-    void issue(int proc, Tick now);
-    template <bool Buffered> void memoryCompletion(int module, Tick now);
-    void startQueuedAccess(int module, Tick now);
-    template <bool Buffered> void arbitrate(Tick now);
-    template <bool Buffered> void grantRequest(int proc, Tick now);
-    template <bool Buffered> void grantResponse(int module, Tick now);
+  private:
+    void issue(BusMachine &bus, int proc, Tick now);
 
-    void pushThinkWake(Tick due, int proc);
-
-    SystemConfig cfg_;
     WorkloadModel workload_;
-    BusMachine bus_;
     Tick pc_; //!< processor cycle r + 2
 
     /** Per-processor counter streams + one for arbitration (stream n),
@@ -117,15 +123,6 @@ class FastStatSystem
     /** Per processor: log1p(-p), the geometric draw's denominator
      *  (0 where p is 0 or 1, which draw no uniform). */
     std::vector<double> thinkLog1mP_;
-
-    std::vector<ModState> modState_; //!< unbuffered organization
-
-    /**
-     * Next tick the bus can grant: now + 1 after a grant (the
-     * transfer occupies one tick), the max Tick when the bus is idle
-     * with no candidates (any event tick re-arbitrates).
-     */
-    Tick arbAt_;
 
     /**
      * Pending think wake-ups (tick, proc), a binary min-heap over a
@@ -138,16 +135,22 @@ class FastStatSystem
 
     /**
      * Wait-time moments, accumulated as exact integers (waits are
-     * tick counts) and summarized into an Accumulator once in run() -
-     * no per-completion Welford division on the hot path.
+     * tick counts) and summarized into an Accumulator once in
+     * finish() - no per-completion Welford division on the hot path.
      */
     std::uint64_t waitSum_ = 0;
     unsigned __int128 waitSumSq_ = 0;
     std::uint64_t waitMin_ = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t waitMax_ = 0;
-
-    bool ran_ = false;
 };
+
+/**
+ * One FastStat simulation run. Construct with a SystemConfig (any
+ * configuration the exact kernel accepts) and call run() once.
+ */
+using FastStatSystem = BusKernel<FastStatPolicy>;
+
+extern template class BusKernel<FastStatPolicy>;
 
 } // namespace sbn
 

@@ -117,7 +117,7 @@ struct Metrics
     /**
      * Time-averaged queue depth per module: requests waiting for the
      * module (issued but not yet in service; buffered organizations
-     * count buffered and in-flight-to-buffer requests), averaged over
+     * count a granted request until its access starts), averaged over
      * the measurement window.
      */
     std::vector<double> perModuleQueueDepthAvg;

@@ -8,8 +8,8 @@
  * suite relies on (fixed seed => identical simulation trajectories).
  *
  * The draws the exact kernel makes per event (next, uniformInt,
- * uniformReal, bernoulli, pickIndex) are defined inline here, so the
- * kernel's flattened driver loop (core/system.cc) carries no call per
+ * uniformReal, bernoulli, pickIndex) are defined inline here, so its
+ * flattened driver loop (core/bus_kernel.hh) carries no call per
  * draw; the rarer draws and the seeding stay in random.cc.
  *
  * CounterRng is the second generator family: a counter-based

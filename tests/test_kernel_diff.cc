@@ -310,12 +310,31 @@ TEST(KernelGridExtras, LowPHeapEventsStaySparse)
     EXPECT_LT(events_per_cycle, 0.5);
 }
 
+/**
+ * Runs one kernel and expects its scratch capacities unchanged: the
+ * driver loop must stay allocation-free through the run.
+ */
+template <class Kernel>
+void
+expectNoScratchRealloc(const SystemConfig &cfg, const char *kernel)
+{
+    Kernel system(cfg);
+    const auto before = system.scratchCapacities();
+    (void)system.run();
+    EXPECT_EQ(before, system.scratchCapacities())
+        << "scratch container reallocated during run (" << kernel
+        << " buffered=" << cfg.buffered
+        << " perModule=" << cfg.collectPerModule << ")";
+}
+
 TEST(KernelGridExtras, SteadyStateArbitrationDoesNotReallocate)
 {
     // collectPerModule covers both states: the per-module scratch
     // (pre-sized at construction, part of scratchCapacities()) and
     // telemetry flushes (disabled by default: no-op branches) must
-    // stay allocation-free through the inner loop either way.
+    // stay allocation-free through the inner loop either way. Both
+    // kernels run the one driver; FastStat's capacities include its
+    // think heap.
     for (bool per_module : {false, true}) {
         for (bool buffered : {false, true}) {
             SystemConfig cfg = diffBase();
@@ -325,14 +344,9 @@ TEST(KernelGridExtras, SteadyStateArbitrationDoesNotReallocate)
             cfg.numModules = 6;
             cfg.measureCycles = 20000;
             cfg.collectPerModule = per_module;
-
-            SingleBusSystem system(cfg);
-            const auto before = system.scratchCapacities();
-            (void)system.run();
-            EXPECT_EQ(before, system.scratchCapacities())
-                << "scratch container reallocated during run "
-                << "(buffered=" << buffered
-                << " perModule=" << per_module << ")";
+            expectNoScratchRealloc<SingleBusSystem>(cfg, "CycleSkip");
+            cfg.kernel = KernelKind::FastStat;
+            expectNoScratchRealloc<FastStatSystem>(cfg, "FastStat");
         }
     }
 }

@@ -238,6 +238,13 @@ TEST(Telemetry, FastStatCounterDumpRepeatsExactly)
     EXPECT_GT(std::stod(fields.at(std::string(telemetryCounterName(
                       TelemetryCounter::SimThinkDraws))).text),
               0.0);
+    // The shared driver counts dispatches for both kernels, but only
+    // CycleSkip flushes them: these two counters stay CycleSkip-only.
+    for (TelemetryCounter counter : {TelemetryCounter::SimHeapEvents,
+                                     TelemetryCounter::SimCalendarDrains})
+        EXPECT_EQ(fields.at(std::string(telemetryCounterName(counter))).text,
+                  "0")
+            << telemetryCounterName(counter);
 }
 
 } // namespace
